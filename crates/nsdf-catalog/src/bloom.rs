@@ -90,6 +90,9 @@ impl Bloom {
         if k == 0 || k > 64 || words == 0 {
             return Err(NsdfError::corrupt("bloom filter header out of range"));
         }
+        if words > buf.len().saturating_sub(*pos) / 8 {
+            return Err(err());
+        }
         let mut bits = Vec::with_capacity(words);
         for _ in 0..words {
             let b = buf.get(*pos..*pos + 8).ok_or_else(err)?;

@@ -187,6 +187,12 @@ impl Segment {
         let min = u64::from_le_bytes(take(&mut pos, 8)?.try_into().expect("8"));
         let max = u64::from_le_bytes(take(&mut pos, 8)?.try_into().expect("8"));
         let bloom = Bloom::decode_from(body, &mut pos)?;
+        // Every entry costs at least 13 bytes (id, flag, offset), so a
+        // count the rest of the buffer cannot hold is refused before it
+        // sizes any allocation.
+        if count > (body.len() - pos) / 13 {
+            return Err(corrupt("entry count exceeds the buffer"));
+        }
         let mut ids = Vec::with_capacity(count);
         for chunk in take(&mut pos, count * 8)?.chunks_exact(8) {
             ids.push(u64::from_le_bytes(chunk.try_into().expect("8")));
@@ -215,6 +221,17 @@ impl Segment {
             || !offsets.windows(2).all(|w| w[0] <= w[1])
         {
             return Err(corrupt("offset table inconsistent"));
+        }
+        // `name_bytes` and `checksum_at` index live bodies without
+        // checks: each must hold the 18-byte prefix and its whole name.
+        for (i, w) in offsets.windows(2).enumerate() {
+            let body = &payload[w[0] as usize..w[1] as usize];
+            if flags[i] == 0
+                && (body.len() < 18
+                    || 18 + u16::from_le_bytes([body[16], body[17]]) as usize > body.len())
+            {
+                return Err(corrupt("live entry body too short"));
+            }
         }
         Ok(Segment { level, ids, flags, offsets, payload, bloom, encoded_bytes: buf.len() as u64 })
     }
@@ -364,5 +381,62 @@ mod tests {
             assert!(Segment::decode(&bad).unwrap_err().is_corrupt(), "flip {flip}");
         }
         assert!(Segment::decode(&bytes).is_ok());
+    }
+
+    /// Recompute the footer so a mutation reaches the structural checks
+    /// instead of stopping at the checksum.
+    fn reseal(bytes: &mut [u8]) {
+        let n = bytes.len() - 8;
+        let digest = fnv1a64(&bytes[..n]);
+        bytes[n..].copy_from_slice(&digest.to_le_bytes());
+    }
+
+    /// Byte offsets of the offset table and the payload in `seg`'s encoding.
+    fn layout(seg: &Segment) -> (usize, usize) {
+        let ids_at = 36 + seg.bloom().encoded_len();
+        let offsets_at = ids_at + seg.count() * 9;
+        (offsets_at, offsets_at + (seg.count() + 1) * 4 + 8)
+    }
+
+    #[test]
+    fn live_body_shorter_than_its_prefix_is_corrupt() {
+        let seg = build(&[3, 4, 8], &[]);
+        let (offsets_at, _) = layout(&seg);
+        let mut bytes = seg.encode();
+        // Entry 0 ends after 10 bytes: monotone offsets, checksum intact.
+        bytes[offsets_at + 4..offsets_at + 8].copy_from_slice(&10u32.to_le_bytes());
+        reseal(&mut bytes);
+        let err = Segment::decode(&bytes).unwrap_err();
+        assert!(err.is_corrupt(), "{err}");
+    }
+
+    #[test]
+    fn name_running_past_its_body_is_corrupt() {
+        let seg = build(&[3, 4, 8], &[6]);
+        let (_, payload_at) = layout(&seg);
+        let mut bytes = seg.encode();
+        bytes[payload_at + 16..payload_at + 18].copy_from_slice(&u16::MAX.to_le_bytes());
+        reseal(&mut bytes);
+        let err = Segment::decode(&bytes).unwrap_err();
+        assert!(err.is_corrupt(), "{err}");
+        // Tombstones carry no body, so only live entries are checked.
+        assert!(Segment::decode(&seg.encode()).is_ok());
+    }
+
+    #[test]
+    fn counts_the_buffer_cannot_hold_are_corrupt() {
+        let seg = build(&[3, 4, 8], &[]);
+        for count in [4u64, 1 << 40, u64::MAX / 8, u64::MAX] {
+            let mut bytes = seg.encode();
+            bytes[12..20].copy_from_slice(&count.to_le_bytes());
+            reseal(&mut bytes);
+            let err = Segment::decode(&bytes).unwrap_err();
+            assert!(err.is_corrupt(), "count {count}: {err}");
+        }
+        // The bloom word count gets the same treatment.
+        let mut bytes = seg.encode();
+        bytes[40..44].copy_from_slice(&u32::MAX.to_le_bytes());
+        reseal(&mut bytes);
+        assert!(Segment::decode(&bytes).unwrap_err().is_corrupt());
     }
 }

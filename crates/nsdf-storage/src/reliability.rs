@@ -162,7 +162,9 @@ impl Default for HedgePolicy {
 /// Only I/O-class errors are retried; `NotFound`/`InvalidArg`/`Corrupt`
 /// are permanent and propagate immediately. Backoff sleeps advance the
 /// virtual clock, so retries show up in end-to-end virtual timings.
-/// [`RetryStore::with_hedging`] adds hedged backup waves to `get_many`.
+/// The batched calls (`get_many`, `put_many`, `head_many`) retry in
+/// waves with one shared backoff per wave; [`RetryStore::with_hedging`]
+/// adds hedged backup waves to `get_many`.
 pub struct RetryStore {
     inner: Arc<dyn ObjectStore>,
     policy: RetryPolicy,
@@ -252,6 +254,64 @@ impl RetryStore {
         backoff * self.policy.multiplier
     }
 
+    /// Wave-based retry of a batched call over `n` keys: `call` issues one
+    /// inner batch for the given key indices. All transiently failed keys
+    /// re-batch and retry together, charging one shared backoff per wave
+    /// (concurrent retries back off in parallel, not in sequence).
+    /// Permanent errors resolve immediately; the retry counter still counts
+    /// per key so it agrees with the single-key accounting. With `hedge`,
+    /// each round may launch backup waves for its transient failures after
+    /// a short hedge delay — rescued keys skip the backoff wave entirely,
+    /// the rest fall through to the normal schedule.
+    fn retry_waves<T>(
+        &self,
+        n: usize,
+        hedge: Option<HedgePolicy>,
+        call: impl Fn(&[usize]) -> Vec<Result<T>>,
+    ) -> Vec<Result<T>> {
+        let mut out: Vec<Option<Result<T>>> = (0..n).map(|_| None).collect();
+        let mut pending: Vec<usize> = (0..n).collect();
+        let mut backoff = self.policy.initial_backoff_secs;
+        let mut attempt = 1;
+        loop {
+            let mut next = Vec::new();
+            for (&i, r) in pending.iter().zip(call(&pending)) {
+                match r {
+                    Err(NsdfError::Io(_)) if attempt < self.policy.max_attempts => next.push(i),
+                    r => out[i] = Some(r),
+                }
+            }
+            if let Some(hedge) = hedge {
+                let mut round = 0;
+                while round < hedge.max_hedges && !next.is_empty() {
+                    self.m.hedge_waves.inc();
+                    self.m.hedge_vns.add(secs_to_ns(hedge.delay_secs));
+                    self.clock.advance_secs(hedge.delay_secs);
+                    self.m.hedges.add(next.len() as u64);
+                    let mut still = Vec::new();
+                    for (&i, r) in next.iter().zip(call(&next)) {
+                        match r {
+                            Err(NsdfError::Io(_)) => still.push(i),
+                            r => {
+                                self.m.hedge_wins.inc();
+                                out[i] = Some(r);
+                            }
+                        }
+                    }
+                    next = still;
+                    round += 1;
+                }
+            }
+            if next.is_empty() {
+                break;
+            }
+            backoff = self.charge_backoff(backoff, next.len() as u64);
+            attempt += 1;
+            pending = next;
+        }
+        out.into_iter().map(|o| o.expect("every slot decided")).collect()
+    }
+
     fn with_retries<T>(&self, mut f: impl FnMut() -> Result<T>) -> Result<T> {
         let mut backoff = self.policy.initial_backoff_secs;
         let mut attempt = 1;
@@ -283,88 +343,28 @@ impl ObjectStore for RetryStore {
     }
 
     fn get_many(&self, keys: &[&str]) -> Vec<Result<Vec<u8>>> {
-        // Wave-based retry: re-batch all transiently failed keys and retry
-        // them together, charging one shared backoff per wave (concurrent
-        // retries back off in parallel, not in sequence). Permanent errors
-        // resolve immediately; the retry counter still counts per key so
-        // it agrees with the single-get accounting. With hedging enabled,
-        // each round may launch backup waves for its transient failures
-        // after a short hedge delay — rescued keys skip the backoff wave
-        // entirely, the rest fall through to the normal schedule.
-        let mut out: Vec<Option<Result<Vec<u8>>>> = keys.iter().map(|_| None).collect();
-        let mut pending: Vec<usize> = (0..keys.len()).collect();
-        let mut backoff = self.policy.initial_backoff_secs;
-        let mut attempt = 1;
-        loop {
-            let wave: Vec<&str> = pending.iter().map(|&i| keys[i]).collect();
-            let results = self.inner.get_many(&wave);
-            let mut next = Vec::new();
-            for (&i, r) in pending.iter().zip(results) {
-                match r {
-                    Err(NsdfError::Io(_)) if attempt < self.policy.max_attempts => next.push(i),
-                    r => out[i] = Some(r),
-                }
-            }
-            if let Some(hedge) = self.hedge {
-                let mut round = 0;
-                while round < hedge.max_hedges && !next.is_empty() {
-                    self.m.hedge_waves.inc();
-                    self.m.hedge_vns.add(secs_to_ns(hedge.delay_secs));
-                    self.clock.advance_secs(hedge.delay_secs);
-                    let hedge_keys: Vec<&str> = next.iter().map(|&i| keys[i]).collect();
-                    self.m.hedges.add(hedge_keys.len() as u64);
-                    let hedge_results = self.inner.get_many(&hedge_keys);
-                    let mut still = Vec::new();
-                    for (&i, r) in next.iter().zip(hedge_results) {
-                        match r {
-                            Err(NsdfError::Io(_)) => still.push(i),
-                            r => {
-                                self.m.hedge_wins.inc();
-                                out[i] = Some(r);
-                            }
-                        }
-                    }
-                    next = still;
-                    round += 1;
-                }
-            }
-            if next.is_empty() {
-                break;
-            }
-            backoff = self.charge_backoff(backoff, next.len() as u64);
-            attempt += 1;
-            pending = next;
-        }
-        out.into_iter().map(|o| o.expect("every slot decided")).collect()
+        self.retry_waves(keys.len(), self.hedge, |idx| {
+            let wave: Vec<&str> = idx.iter().map(|&i| keys[i]).collect();
+            self.inner.get_many(&wave)
+        })
     }
 
     fn put_many(&self, items: &[(&str, &[u8])]) -> Vec<Result<ObjectMeta>> {
-        // Wave-based retry exactly like `get_many`, minus hedging: a
-        // hedged backup wave would race two writes of the same key, and
-        // "first ack wins" is not a coherent write semantic. Transiently
-        // failed keys re-batch and share one backoff per wave.
-        let mut out: Vec<Option<Result<ObjectMeta>>> = items.iter().map(|_| None).collect();
-        let mut pending: Vec<usize> = (0..items.len()).collect();
-        let mut backoff = self.policy.initial_backoff_secs;
-        let mut attempt = 1;
-        loop {
-            let wave: Vec<(&str, &[u8])> = pending.iter().map(|&i| items[i]).collect();
-            let results = self.inner.put_many(&wave);
-            let mut next = Vec::new();
-            for (&i, r) in pending.iter().zip(results) {
-                match r {
-                    Err(NsdfError::Io(_)) if attempt < self.policy.max_attempts => next.push(i),
-                    r => out[i] = Some(r),
-                }
-            }
-            if next.is_empty() {
-                break;
-            }
-            backoff = self.charge_backoff(backoff, next.len() as u64);
-            attempt += 1;
-            pending = next;
-        }
-        out.into_iter().map(|o| o.expect("every slot decided")).collect()
+        // No hedging: a hedged backup wave would race two writes of the
+        // same key, and "first ack wins" is not a coherent write semantic.
+        self.retry_waves(items.len(), None, |idx| {
+            let wave: Vec<(&str, &[u8])> = idx.iter().map(|&i| items[i]).collect();
+            self.inner.put_many(&wave)
+        })
+    }
+
+    fn head_many(&self, keys: &[&str]) -> Vec<Result<ObjectMeta>> {
+        // No hedging: HEADs are cheap and the batch is verification, not
+        // a latency-critical read.
+        self.retry_waves(keys.len(), None, |idx| {
+            let wave: Vec<&str> = idx.iter().map(|&i| keys[i]).collect();
+            self.inner.head_many(&wave)
+        })
     }
 
     fn head(&self, key: &str) -> Result<ObjectMeta> {
@@ -1358,6 +1358,58 @@ mod tests {
         let schedule: f64 = (0..waves).map(|w| 0.05 * 2f64.powi(w as i32)).sum();
         assert!((charged - schedule).abs() < 1e-9, "one backoff per wave: {charged} vs {schedule}");
         assert!(retry.retries() > waves, "waves must be shared across keys");
+    }
+
+    #[test]
+    fn retry_head_many_matches_single_heads_with_one_backoff_per_wave() {
+        let policy = RetryPolicy { max_attempts: 6, initial_backoff_secs: 0.05, multiplier: 2.0 };
+        let keys: Vec<String> = (0..30).map(|i| format!("k{i}")).collect();
+        // The same seeded stack twice: per-key draws are pure in
+        // (seed, key, attempt), so a wave retry and single heads consume
+        // identical attempt streams.
+        let stack = || {
+            let obs = Obs::new(SimClock::new());
+            let flaky = Arc::new(
+                FlakyStore::new(Arc::new(MemoryStore::new()), 0.4, FailScope::Reads, 19)
+                    .unwrap()
+                    .with_obs(&obs),
+            );
+            let retry = RetryStore::new(flaky, policy, obs.clock().clone()).unwrap().with_obs(&obs);
+            for (i, k) in keys.iter().take(28).enumerate() {
+                retry.put(k, format!("v{i}").as_bytes()).unwrap();
+            }
+            (obs, retry)
+        };
+        let outcome = |r: Result<ObjectMeta>| match r {
+            Ok(m) => Ok(m),
+            Err(e) if e.is_not_found() => Err("not found"),
+            Err(_) => Err("transient"),
+        };
+
+        let (obs, retry) = stack();
+        let refs: Vec<&str> = keys.iter().map(|k| k.as_str()).collect();
+        let batched: Vec<_> = retry.head_many(&refs).into_iter().map(outcome).collect();
+        let (single_obs, single) = stack();
+        let singles: Vec<_> = refs.iter().map(|k| outcome(single.head(k))).collect();
+        assert_eq!(batched, singles, "per-key results equal single heads");
+        assert!(batched[..28].iter().all(|r| r.is_ok()), "retries absorb 40% read faults");
+        assert_eq!(batched[28..], [Err("not found"), Err("not found")]);
+
+        // One backoff charge per wave, stepping through the policy
+        // schedule, shared by every key the wave retried.
+        let snap = obs.snapshot();
+        let waves = snap.counter("retry.waves");
+        assert!(waves >= 1, "rate 0.4 over 30 keys must need a retry wave");
+        let schedule: u64 = (0..waves)
+            .map(|w| secs_to_ns(policy.initial_backoff_secs * policy.multiplier.powi(w as i32)))
+            .sum();
+        assert_eq!(snap.counter("retry.backoff_vns"), schedule);
+        assert_eq!(obs.clock().now_ns(), schedule, "the clock pays the schedule, nothing else");
+        assert!(snap.counter("retry.retries") > waves, "waves must be shared across keys");
+        assert_eq!(snap.counter("retry.hedge_waves"), 0, "head_many never hedges");
+        // Single heads retry the same keys, but each pays its own backoff.
+        assert_eq!(single.retries(), retry.retries());
+        assert!(single_obs.clock().now_ns() > schedule);
     }
 
     #[test]

@@ -15,17 +15,30 @@
 //! therefore splits tasks into two kinds:
 //!
 //! - **parallel** tasks are pure functions of their prefetched inputs:
-//!   the engine loads every consumed artifact on the caller thread (in
-//!   task-id order), the closure computes and returns payloads, and the
-//!   engine persists those payloads on the caller thread (again in
-//!   task-id order). Virtual time advances by the *maximum* compute
-//!   charge of the wave — the tasks ran concurrently.
+//!   the engine loads consumed artifacts and persists returned payloads
+//!   itself, on the caller thread. Virtual time advances by the
+//!   *maximum* compute charge of the wave — the tasks ran concurrently.
 //! - **exclusive** tasks run serialized on the caller thread and may
 //!   talk to object stores directly (dataset creation, IDX ingest,
 //!   read-back validation). Virtual time advances by each task's own
 //!   charge.
 //!
-//! With that split, two runs of the same graph on the same seed produce
+//! The engine's own store I/O is batched by wave, so a wave of n tasks
+//! pays for a few WAN round-trip waves instead of n serial requests.
+//! Each wave makes, in this order and each in task-id order:
+//!
+//! 1. one `head_many` over every output of every ready task whose
+//!    fingerprint matches the manifest (the up-to-date check);
+//! 2. one deduplicated `get_many` over every input of the executing
+//!    tasks that is not already in memory, ordered by producer task id;
+//! 3. one `put_many` over the parallel tasks' payloads, issued before
+//!    the wave's exclusive tasks run; each exclusive task's payloads then
+//!    go in a `put_many` of their own.
+//!
+//! A batch never fails as a whole: a failed put or get fails only the
+//! tasks that own or consume that key, and a failed head only makes its
+//! task re-execute. Because all of this happens on the caller thread in
+//! a fixed order, two runs of the same graph on the same seed produce
 //! byte-identical run reports and manifests even at different thread
 //! counts.
 //!
@@ -602,21 +615,24 @@ impl TaskGraph {
     /// dependencies completed — hash-verified up-to-date tasks resolve
     /// instantly, parallel tasks run on the work-stealing pool (clock
     /// advances by the wave maximum), exclusive tasks then run
-    /// serialized (clock advances per task). A failed task fails alone;
-    /// only its downstream cone is skipped, and independent branches
-    /// complete. The run report, including failures, is always returned.
+    /// serialized (clock advances per task). Store I/O is batched per
+    /// wave: one `head_many` verifies, one `get_many` prefetches, and one
+    /// `put_many` persists the parallel tasks' payloads. A failed task
+    /// fails alone; only its downstream cone is skipped, and independent
+    /// branches complete. The run report, including failures, is always
+    /// returned. The reported window covers the manifest load and save.
     pub fn run(&self, opts: &RunOptions) -> Result<GraphRun> {
         if opts.manifest_key.is_some() && opts.store.is_none() {
             return Err(NsdfError::invalid("manifest requires a store"));
         }
         let n = self.tasks.len();
         let clock = &opts.clock;
+        let started_ns = clock.now_ns();
         let prev = match (&opts.store, &opts.manifest_key) {
             (Some(store), Some(key)) => Manifest::load(store.as_ref(), key)?,
             _ => Manifest::default(),
         };
 
-        let started_ns = clock.now_ns();
         let mut records: Vec<Option<TaskRecord>> = (0..n).map(|_| None).collect();
         let mut blackboard: BTreeMap<String, Arc<Vec<u8>>> = BTreeMap::new();
         let mut resolved = 0usize;
@@ -636,16 +652,7 @@ impl TaskGraph {
                     )
                 });
                 if blocked {
-                    records[i] = Some(TaskRecord {
-                        name: self.tasks[i].name.clone(),
-                        status: TaskStatus::Skipped,
-                        wave,
-                        compute_ns: 0,
-                        fingerprint: 0,
-                        produced: Vec::new(),
-                        consumed: self.consumed(i, &records),
-                        error: None,
-                    });
+                    records[i] = Some(self.record(i, TaskStatus::Skipped, wave, 0, &records));
                     resolved += 1;
                 }
             }
@@ -667,51 +674,33 @@ impl TaskGraph {
 
             // Hash-verified fast path: fingerprint matches the manifest
             // and every recorded output still checks out on the store.
+            let fps: Vec<(usize, u64)> =
+                ready.iter().map(|&i| (i, self.fingerprint(i, &records))).collect();
+            let verified = self.verify(&fps, &prev, opts);
             let mut execute = Vec::new();
-            for &i in &ready {
-                let fp = self.fingerprint(i, &records);
-                let entry = prev.tasks.get(&self.tasks[i].name);
-                let verified = match (&opts.store, entry) {
-                    (Some(store), Some(e)) if e.fingerprint == fp => {
-                        verify_outputs(store.as_ref(), &e.outputs)
+            for ((i, fp), entry) in fps.into_iter().zip(verified) {
+                match entry {
+                    Some(e) => {
+                        let mut rec = self.record(i, TaskStatus::UpToDate, wave, fp, &records);
+                        rec.produced = e.outputs.clone();
+                        records[i] = Some(rec);
+                        resolved += 1;
                     }
-                    _ => false,
-                };
-                if verified {
-                    let e = entry.expect("verified entry exists");
-                    records[i] = Some(TaskRecord {
-                        name: self.tasks[i].name.clone(),
-                        status: TaskStatus::UpToDate,
-                        wave,
-                        compute_ns: 0,
-                        fingerprint: fp,
-                        produced: e.outputs.clone(),
-                        consumed: self.consumed(i, &records),
-                        error: None,
-                    });
-                    resolved += 1;
-                } else {
-                    execute.push((i, fp));
+                    None => execute.push((i, fp)),
                 }
             }
 
-            // Prefetch inputs on the caller thread, in task-id order, so
-            // WAN charges and cache admissions stay deterministic.
+            // Prefetch every missing input of the wave, then hand each
+            // task its inputs or fail it with its first missing one.
+            let missing = self.prefetch(&execute, &records, &mut blackboard, opts);
             let mut runnable: Vec<(usize, u64, Vec<TaskInput>)> = Vec::new();
             for (i, fp) in execute {
-                match self.prefetch(i, &records, &mut blackboard, opts) {
+                match self.inputs(i, &records, &blackboard, &missing) {
                     Ok(inputs) => runnable.push((i, fp, inputs)),
                     Err(e) => {
-                        records[i] = Some(TaskRecord {
-                            name: self.tasks[i].name.clone(),
-                            status: TaskStatus::Failed,
-                            wave,
-                            compute_ns: 0,
-                            fingerprint: fp,
-                            produced: Vec::new(),
-                            consumed: self.consumed(i, &records),
-                            error: Some(format!("input prefetch: {e}")),
-                        });
+                        let mut rec = self.record(i, TaskStatus::Failed, wave, fp, &records);
+                        rec.error = Some(format!("input prefetch: {e}"));
+                        records[i] = Some(rec);
                         resolved += 1;
                     }
                 }
@@ -728,21 +717,17 @@ impl TaskGraph {
                     nsdf_util::par::try_par_map_owned(par, opts.threads, |(i, fp, inputs)| {
                         let mut ctx = TaskCtx { clock: clock.clone(), inputs, compute_ns: 0 };
                         let result = (self.tasks[i].run)(&mut ctx);
-                        Ok::<_, NsdfError>((i, fp, result, ctx.compute_ns))
+                        Ok::<_, NsdfError>(Outcome {
+                            task: i,
+                            fp,
+                            result,
+                            compute_ns: ctx.compute_ns,
+                        })
                     })?;
-                let wave_compute = outcomes.iter().map(|(_, _, _, c)| *c).max().unwrap_or(0);
+                let wave_compute = outcomes.iter().map(|o| o.compute_ns).max().unwrap_or(0);
                 clock.advance_ns(wave_compute);
-                for (i, fp, result, compute_ns) in outcomes {
-                    records[i] = Some(self.resolve_outputs(
-                        i,
-                        fp,
-                        wave,
-                        compute_ns,
-                        result,
-                        &records,
-                        &mut blackboard,
-                        opts,
-                    ));
+                for (i, rec) in self.persist(outcomes, wave, &records, &mut blackboard, opts) {
+                    records[i] = Some(rec);
                     resolved += 1;
                 }
             }
@@ -752,36 +737,23 @@ impl TaskGraph {
                 let mut ctx = TaskCtx { clock: clock.clone(), inputs, compute_ns: 0 };
                 let result = (self.tasks[i].run)(&mut ctx);
                 clock.advance_ns(ctx.compute_ns);
-                records[i] = Some(self.resolve_outputs(
-                    i,
-                    fp,
-                    wave,
-                    ctx.compute_ns,
-                    result,
-                    &records,
-                    &mut blackboard,
-                    opts,
-                ));
-                resolved += 1;
+                let outcome = Outcome { task: i, fp, result, compute_ns: ctx.compute_ns };
+                for (i, rec) in self.persist(vec![outcome], wave, &records, &mut blackboard, opts) {
+                    records[i] = Some(rec);
+                    resolved += 1;
+                }
             }
 
             wave += 1;
         }
 
-        let ended_ns = clock.now_ns();
-        let run = GraphRun {
-            name: self.name.clone(),
-            records: records.into_iter().map(|r| r.expect("all tasks resolved")).collect(),
-            waves: wave,
-            started_ns,
-            ended_ns,
-        };
-
+        let records: Vec<TaskRecord> =
+            records.into_iter().map(|r| r.expect("all tasks resolved")).collect();
         if let (Some(store), Some(key)) = (&opts.store, &opts.manifest_key) {
             // Merge into the previous manifest: tasks skipped this run
             // keep their last-known-good entries for future reruns.
             let mut manifest = prev;
-            for r in &run.records {
+            for r in &records {
                 if matches!(r.status, TaskStatus::Succeeded | TaskStatus::UpToDate) {
                     manifest.tasks.insert(
                         r.name.clone(),
@@ -791,115 +763,218 @@ impl TaskGraph {
             }
             manifest.save(store.as_ref(), key)?;
         }
-        Ok(run)
+        Ok(GraphRun {
+            name: self.name.clone(),
+            records,
+            waves: wave,
+            started_ns,
+            ended_ns: clock.now_ns(),
+        })
     }
 
-    /// Load and verify every input artifact of task `i`: blackboard
-    /// first (bytes produced earlier this run), then the store, checking
-    /// content hashes on the way in.
-    fn prefetch(
+    /// A record of task `i` with nothing produced and no error.
+    fn record(
         &self,
         i: usize,
+        status: TaskStatus,
+        wave: u64,
+        fingerprint: u64,
+        records: &[Option<TaskRecord>],
+    ) -> TaskRecord {
+        TaskRecord {
+            name: self.tasks[i].name.clone(),
+            status,
+            wave,
+            compute_ns: 0,
+            fingerprint,
+            produced: Vec::new(),
+            consumed: self.consumed(i, records),
+            error: None,
+        }
+    }
+
+    /// For each `(task, fingerprint)`, the manifest entry when the
+    /// fingerprint matches and every recorded output still exists with
+    /// the recorded size and checksum. All candidates' outputs are checked
+    /// with one `head_many`, in task-id order. Artifacts recorded without
+    /// a checksum can never verify, forcing a re-run — the conservative
+    /// choice; a failed head likewise only forces its task to re-run.
+    fn verify<'m>(
+        &self,
+        fps: &[(usize, u64)],
+        prev: &'m Manifest,
+        opts: &RunOptions,
+    ) -> Vec<Option<&'m ManifestEntry>> {
+        let Some(store) = &opts.store else { return vec![None; fps.len()] };
+        let candidates: Vec<Option<&ManifestEntry>> = fps
+            .iter()
+            .map(|&(i, fp)| {
+                prev.tasks
+                    .get(&self.tasks[i].name)
+                    .filter(|e| e.fingerprint == fp && e.outputs.iter().all(|a| a.checksum != 0))
+            })
+            .collect();
+        let keys: Vec<&str> = candidates
+            .iter()
+            .flatten()
+            .flat_map(|e| &e.outputs)
+            .map(|a| a.location.as_str())
+            .collect();
+        let heads = if keys.is_empty() { Vec::new() } else { store.head_many(&keys) };
+        let mut at = 0;
+        candidates
+            .into_iter()
+            .map(|entry| {
+                let e = entry?;
+                let own = &heads[at..at + e.outputs.len()];
+                at += own.len();
+                let intact = e.outputs.iter().zip(own).all(|(a, head)| {
+                    matches!(head, Ok(m) if m.size == a.bytes && m.checksum == a.checksum)
+                });
+                intact.then_some(e)
+            })
+            .collect()
+    }
+
+    /// Load every input of `execute` that is not yet in the blackboard
+    /// with one deduplicated `get_many` in producer task-id order,
+    /// checking content hashes on the way in. Returns the error of each
+    /// artifact (by name) that could not be loaded.
+    fn prefetch(
+        &self,
+        execute: &[(usize, u64)],
         records: &[Option<TaskRecord>],
         blackboard: &mut BTreeMap<String, Arc<Vec<u8>>>,
         opts: &RunOptions,
-    ) -> Result<Vec<TaskInput>> {
+    ) -> BTreeMap<String, String> {
+        let mut wanted: BTreeMap<(usize, usize), &Artifact> = BTreeMap::new();
+        for &(i, _) in execute {
+            for &d in &self.tasks[i].deps {
+                let rec = records[d].as_ref().expect("dependency resolved before prefetch");
+                for (k, a) in rec.produced.iter().enumerate() {
+                    if !blackboard.contains_key(&a.name) {
+                        wanted.insert((d, k), a);
+                    }
+                }
+            }
+        }
+        let mut missing = BTreeMap::new();
+        if wanted.is_empty() {
+            return missing;
+        }
+        let Some(store) = &opts.store else {
+            for a in wanted.values() {
+                let msg = format!("artifact {:?} not in memory and no store configured", a.name);
+                missing.insert(a.name.clone(), NsdfError::invalid(msg).to_string());
+            }
+            return missing;
+        };
+        let keys: Vec<&str> = wanted.values().map(|a| a.location.as_str()).collect();
+        for (a, got) in wanted.values().zip(store.get_many(&keys)) {
+            let checked = got.and_then(|data| {
+                if a.checksum != 0 && nsdf_util::fnv1a64(&data) != a.checksum {
+                    return Err(NsdfError::corrupt(format!(
+                        "artifact {:?} at {:?} failed checksum verification",
+                        a.name, a.location
+                    )));
+                }
+                Ok(data)
+            });
+            match checked {
+                Ok(data) => {
+                    blackboard.insert(a.name.clone(), Arc::new(data));
+                }
+                Err(e) => {
+                    missing.insert(a.name.clone(), e.to_string());
+                }
+            }
+        }
+        missing
+    }
+
+    /// The inputs of task `i`, in dependency order, from the blackboard.
+    fn inputs(
+        &self,
+        i: usize,
+        records: &[Option<TaskRecord>],
+        blackboard: &BTreeMap<String, Arc<Vec<u8>>>,
+        missing: &BTreeMap<String, String>,
+    ) -> std::result::Result<Vec<TaskInput>, String> {
         let mut inputs = Vec::new();
         for &d in &self.tasks[i].deps {
             let rec = records[d].as_ref().expect("dependency resolved before prefetch");
             for a in &rec.produced {
-                let bytes = match blackboard.get(&a.name) {
-                    Some(b) => Arc::clone(b),
-                    None => {
-                        let store = opts.store.as_ref().ok_or_else(|| {
-                            NsdfError::invalid(format!(
-                                "artifact {:?} not in memory and no store configured",
-                                a.name
-                            ))
-                        })?;
-                        let data = store.get(&a.location)?;
-                        if a.checksum != 0 && nsdf_util::fnv1a64(&data) != a.checksum {
-                            return Err(NsdfError::corrupt(format!(
-                                "artifact {:?} at {:?} failed checksum verification",
-                                a.name, a.location
-                            )));
-                        }
-                        let arc = Arc::new(data);
-                        blackboard.insert(a.name.clone(), Arc::clone(&arc));
-                        arc
-                    }
-                };
-                inputs.push(TaskInput { artifact: a.clone(), bytes });
+                let bytes = blackboard.get(&a.name).ok_or_else(|| missing[&a.name].clone())?;
+                inputs.push(TaskInput { artifact: a.clone(), bytes: Arc::clone(bytes) });
             }
         }
         Ok(inputs)
     }
 
-    /// Turn a closure result into a record, persisting payload outputs
-    /// on the caller thread.
-    #[allow(clippy::too_many_arguments)]
-    fn resolve_outputs(
+    /// Turn closure outcomes into `(task, record)` pairs, persisting every payload output
+    /// with one `put_many` in task-id order. A failed put fails only the
+    /// task that owns the key; the others' payloads land in the blackboard.
+    fn persist(
         &self,
-        i: usize,
-        fingerprint: u64,
+        outcomes: Vec<Outcome>,
         wave: u64,
-        compute_ns: u64,
-        result: Result<Vec<TaskOutput>>,
         records: &[Option<TaskRecord>],
         blackboard: &mut BTreeMap<String, Arc<Vec<u8>>>,
         opts: &RunOptions,
-    ) -> TaskRecord {
-        let consumed = self.consumed(i, records);
-        let base = TaskRecord {
-            name: self.tasks[i].name.clone(),
-            status: TaskStatus::Succeeded,
-            wave,
-            compute_ns,
-            fingerprint,
-            produced: Vec::new(),
-            consumed,
-            error: None,
-        };
-        match result {
-            Err(e) => TaskRecord { status: TaskStatus::Failed, error: Some(e.to_string()), ..base },
-            Ok(outputs) => {
-                let mut produced = Vec::new();
-                for out in outputs {
-                    match out {
-                        TaskOutput::Stored(a) => produced.push(a),
-                        TaskOutput::Payload { name, location, bytes } => {
-                            let artifact = Artifact::of_bytes(&name, &bytes, &location);
-                            if let Some(store) = &opts.store {
-                                if let Err(e) = store.put(&location, &bytes) {
-                                    return TaskRecord {
-                                        status: TaskStatus::Failed,
-                                        error: Some(format!("persist {name:?}: {e}")),
-                                        ..base
-                                    };
-                                }
+    ) -> Vec<(usize, TaskRecord)> {
+        let mut out = Vec::with_capacity(outcomes.len());
+        // (record slot, artifact name, location, bytes) per payload.
+        let mut payloads: Vec<(usize, String, String, Vec<u8>)> = Vec::new();
+        for o in outcomes {
+            let mut rec = self.record(o.task, TaskStatus::Succeeded, wave, o.fp, records);
+            rec.compute_ns = o.compute_ns;
+            match o.result {
+                Err(e) => (rec.status, rec.error) = (TaskStatus::Failed, Some(e.to_string())),
+                Ok(outputs) => {
+                    for output in outputs {
+                        match output {
+                            TaskOutput::Stored(a) => rec.produced.push(a),
+                            TaskOutput::Payload { name, location, bytes } => {
+                                rec.produced.push(Artifact::of_bytes(&name, &bytes, &location));
+                                payloads.push((out.len(), name, location, bytes));
                             }
-                            blackboard.insert(name, Arc::new(bytes));
-                            produced.push(artifact);
                         }
                     }
                 }
-                TaskRecord { produced, ..base }
+            }
+            out.push((o.task, rec));
+        }
+        if let Some(store) = opts.store.as_ref().filter(|_| !payloads.is_empty()) {
+            let items: Vec<(&str, &[u8])> = payloads
+                .iter()
+                .map(|(_, _, loc, bytes)| (loc.as_str(), bytes.as_slice()))
+                .collect();
+            for ((slot, name, _, _), put) in payloads.iter().zip(store.put_many(&items)) {
+                let rec = &mut out[*slot].1;
+                if let (Err(e), None) = (put, &rec.error) {
+                    rec.status = TaskStatus::Failed;
+                    rec.error = Some(format!("persist {name:?}: {e}"));
+                }
             }
         }
+        for (slot, name, _, bytes) in payloads {
+            let rec = &mut out[slot].1;
+            if rec.status == TaskStatus::Failed {
+                rec.produced.clear();
+            } else {
+                blackboard.insert(name, Arc::new(bytes));
+            }
+        }
+        out
     }
 }
 
-/// True when every artifact still exists on the store with the recorded
-/// size and content checksum. Artifacts recorded without a checksum can
-/// never verify, forcing a re-run — the conservative choice.
-fn verify_outputs(store: &dyn ObjectStore, outputs: &[Artifact]) -> bool {
-    outputs.iter().all(|a| {
-        a.checksum != 0
-            && store
-                .head(&a.location)
-                .map(|m| m.size == a.bytes && m.checksum == a.checksum)
-                .unwrap_or(false)
-    })
+/// What one executed closure returned, with its compute charge.
+struct Outcome {
+    task: usize,
+    fp: u64,
+    result: Result<Vec<TaskOutput>>,
+    compute_ns: u64,
 }
 
 #[cfg(test)]
@@ -1053,6 +1128,38 @@ mod tests {
         assert_eq!(fourth.record("gen").unwrap().status, TaskStatus::Succeeded);
         assert_eq!(fourth.record("deriv").unwrap().status, TaskStatus::UpToDate);
         assert_eq!(fourth.record("sink").unwrap().status, TaskStatus::UpToDate);
+    }
+
+    /// The report window covers the manifest load and save: over a WAN
+    /// store, the reported virtual time equals the clock's advance across
+    /// `run`, cold and on an up-to-date rerun.
+    #[test]
+    fn report_window_covers_manifest_io() {
+        use nsdf_storage::{CloudStore, NetworkProfile};
+        let clock = SimClock::new();
+        let wan = CloudStore::new(
+            Arc::new(MemoryStore::new()),
+            NetworkProfile::private_seal(),
+            clock.clone(),
+            7,
+        );
+        let store: Arc<dyn ObjectStore> = Arc::new(wan);
+        let mut g = TaskGraph::new("window");
+        g.add_task("gen", &[], "v1", emit("dem", b"dem", 3)).unwrap();
+        g.add_task("use", &["gen"], "v1", emit("out", b"out", 2)).unwrap();
+        let opts = RunOptions::new(clock.clone())
+            .with_store(Arc::clone(&store))
+            .with_manifest("wf/manifest.json");
+        for expect in [TaskStatus::Succeeded, TaskStatus::UpToDate] {
+            let before = clock.now_ns();
+            let run = g.run(&opts).unwrap();
+            assert_eq!(run.count(expect), 2);
+            assert_eq!(run.started_ns, before);
+            assert_eq!(run.ended_ns, clock.now_ns());
+            let advance = (clock.now_ns() - before) as f64 / 1e9;
+            assert_eq!(run.virtual_secs(), advance);
+        }
+        assert!(store.exists("wf/manifest.json").unwrap());
     }
 
     /// Identical runs render byte-identical reports at any thread count.
