@@ -1,21 +1,19 @@
-//! Resilience layers: failure injection, retries, hedging, circuit
-//! breaking, and end-to-end payload integrity.
+//! Resilience layers: retries, hedging, circuit breaking, and end-to-end
+//! payload integrity.
 //!
 //! Wide-area transfers fail; the NSDF testbed papers (refs \[2\], \[12\])
-//! treat transient request failures as a fact of life. `FlakyStore`
-//! injects deterministic, seed-driven failures into any inner store so
-//! tests and benches can exercise error paths (it is a thin uniform-rate
-//! wrapper over the scripted [`crate::fault::FaultStore`]), and
-//! `RetryStore` layers bounded exponential-backoff retries — optionally
-//! with hedged backup waves — on top, charging all waiting to the virtual
-//! clock. `BreakerStore` adds a per-endpoint circuit breaker so a dead
-//! endpoint fails fast instead of burning retry budget, and
-//! `IntegrityStore` verifies payload checksums against stored metadata so
-//! corrupted-in-flight payloads surface as retryable I/O errors. The
-//! stack proves end-to-end that a lossy substrate still yields correct
-//! datasets.
+//! treat transient request failures as a fact of life. Failures are
+//! injected by the seeded [`crate::fault::FaultStore`] (a uniform rate is
+//! a window-less [`crate::fault::FaultPlan`]; [`FailScope`] picks the
+//! operations it may fail). `RetryStore` layers bounded
+//! exponential-backoff retries — optionally with hedged backup waves — on
+//! top, charging all waiting to the virtual clock. `BreakerStore` adds a
+//! per-endpoint circuit breaker so a dead endpoint fails fast instead of
+//! burning retry budget, and `IntegrityStore` verifies payload checksums
+//! against stored metadata so corrupted-in-flight payloads surface as
+//! retryable I/O errors. The stack proves end-to-end that a lossy
+//! substrate still yields correct datasets.
 
-use crate::fault::{FaultPlan, FaultStore};
 use crate::store::{ObjectMeta, ObjectStore};
 use nsdf_util::obs::{Counter, Gauge, Obs};
 use nsdf_util::{fnv1a64, secs_to_ns, NsdfError, Result, SimClock};
@@ -31,90 +29,6 @@ pub enum FailScope {
     Writes,
     /// Everything.
     All,
-}
-
-/// A store that fails a deterministic fraction of operations.
-///
-/// Kept as the simple entry point for uniform i.i.d. fault injection; it
-/// delegates to a [`FaultStore`] running a window-less [`FaultPlan`], so a
-/// key's failure decision is a pure function of `(seed, key, attempt)` —
-/// batch composition cannot change which keys fail.
-pub struct FlakyStore {
-    inner: FaultStore,
-    fail_rate: f64,
-}
-
-impl FlakyStore {
-    /// Fail `fail_rate` of in-scope operations with an I/O error.
-    pub fn new(
-        inner: Arc<dyn ObjectStore>,
-        fail_rate: f64,
-        scope: FailScope,
-        seed: u64,
-    ) -> Result<Self> {
-        let plan = FaultPlan::new(seed).with_fault_rate(fail_rate).with_scope(scope);
-        Ok(FlakyStore {
-            inner: FaultStore::with_label(inner, plan, SimClock::new(), "flaky")?,
-            fail_rate,
-        })
-    }
-
-    /// Report the injected-failure count into `obs` (scope `…flaky`).
-    pub fn with_obs(mut self, obs: &Obs) -> Self {
-        self.inner = self.inner.with_obs(obs);
-        self
-    }
-
-    /// Number of failures injected so far.
-    pub fn injected_failures(&self) -> u64 {
-        self.inner.injected_failures()
-    }
-}
-
-impl ObjectStore for FlakyStore {
-    fn put(&self, key: &str, data: &[u8]) -> Result<ObjectMeta> {
-        self.inner.put(key, data)
-    }
-
-    fn get(&self, key: &str) -> Result<Vec<u8>> {
-        self.inner.get(key)
-    }
-
-    fn get_range(&self, key: &str, offset: u64, len: u64) -> Result<Vec<u8>> {
-        self.inner.get_range(key, offset, len)
-    }
-
-    fn get_many(&self, keys: &[&str]) -> Vec<Result<Vec<u8>>> {
-        self.inner.get_many(keys)
-    }
-
-    fn put_many(&self, items: &[(&str, &[u8])]) -> Vec<Result<ObjectMeta>> {
-        self.inner.put_many(items)
-    }
-
-    fn head(&self, key: &str) -> Result<ObjectMeta> {
-        self.inner.head(key)
-    }
-
-    fn head_many(&self, keys: &[&str]) -> Vec<Result<ObjectMeta>> {
-        self.inner.head_many(keys)
-    }
-
-    fn list(&self, prefix: &str) -> Result<Vec<ObjectMeta>> {
-        self.inner.list(prefix)
-    }
-
-    fn delete(&self, key: &str) -> Result<()> {
-        self.inner.delete(key)
-    }
-
-    fn describe(&self) -> String {
-        format!(
-            "{} with {:.0}% injected failures",
-            self.inner.inner_describe(),
-            self.fail_rate * 100.0
-        )
-    }
 }
 
 /// Retry policy for [`RetryStore`].
@@ -673,7 +587,7 @@ impl IntegrityMetrics {
 ///
 /// Every `get`/`get_many` payload is checked against the FNV-1a checksum
 /// the store's metadata carries ([`ObjectMeta::checksum`]); a mismatch —
-/// e.g. a payload damaged in flight by a [`FaultStore`] corruption draw —
+/// e.g. a payload damaged in flight by a [`crate::fault::FaultStore`] corruption draw —
 /// surfaces as a retryable I/O error, so a [`RetryStore`] above re-fetches
 /// instead of handing corrupt bytes to the decoder. Batch verification
 /// rides [`ObjectStore::head_many`], which the WAN model amortizes like
@@ -802,10 +716,18 @@ impl ObjectStore for IntegrityStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{FaultPlan, FaultStore};
     use crate::memory::MemoryStore;
 
-    fn flaky(rate: f64, scope: FailScope) -> Arc<FlakyStore> {
-        Arc::new(FlakyStore::new(Arc::new(MemoryStore::new()), rate, scope, 7).unwrap())
+    /// A memory store failing `rate` of the operations in `scope`, drawn
+    /// from `seed`.
+    fn flaky_seeded(rate: f64, scope: FailScope, seed: u64) -> FaultStore {
+        let plan = FaultPlan::new(seed).with_fault_rate(rate).with_scope(scope);
+        FaultStore::new(Arc::new(MemoryStore::new()), plan, SimClock::new()).unwrap()
+    }
+
+    fn flaky(rate: f64, scope: FailScope) -> Arc<FaultStore> {
+        Arc::new(flaky_seeded(rate, scope, 7))
     }
 
     #[test]
@@ -993,11 +915,7 @@ mod tests {
         let policy = RetryPolicy { max_attempts: 4, initial_backoff_secs: 0.05, multiplier: 2.0 };
         let run = || {
             let obs = Obs::new(SimClock::new());
-            let flaky = Arc::new(
-                FlakyStore::new(Arc::new(MemoryStore::new()), 0.45, FailScope::Reads, 11)
-                    .unwrap()
-                    .with_obs(&obs),
-            );
+            let flaky = Arc::new(flaky_seeded(0.45, FailScope::Reads, 11).with_obs(&obs));
             let retry = RetryStore::new(flaky, policy, obs.clock().clone()).unwrap().with_obs(&obs);
             let keys: Vec<String> = (0..24).map(|i| format!("k{i}")).collect();
             for (i, k) in keys.iter().enumerate() {
@@ -1026,7 +944,7 @@ mod tests {
         assert_eq!(snap.counter("retry.backoff_vns"), expected_backoff);
         assert_eq!(clock_ns, expected_backoff, "clock charge == sum of per-wave backoffs");
         assert!(snap.counter("retry.retries") >= waves, "each wave retries >= 1 key");
-        assert!(snap.counter("flaky.injected") >= snap.counter("retry.retries"));
+        assert!(snap.counter("fault.injected") >= snap.counter("retry.retries"));
 
         // Deterministic error propagation: an identically-seeded run gives
         // identical per-key outcomes (including error text) and metrics.
@@ -1039,7 +957,12 @@ mod tests {
     #[test]
     fn invalid_configs_rejected() {
         let inner: Arc<dyn ObjectStore> = Arc::new(MemoryStore::new());
-        assert!(FlakyStore::new(inner.clone(), 1.5, FailScope::All, 1).is_err());
+        assert!(FaultStore::new(
+            inner.clone(),
+            FaultPlan::new(1).with_fault_rate(1.5),
+            SimClock::new()
+        )
+        .is_err());
         assert!(RetryStore::new(
             inner.clone(),
             RetryPolicy { max_attempts: 0, initial_backoff_secs: 0.1, multiplier: 2.0 },
@@ -1116,11 +1039,7 @@ mod tests {
     fn hedged_get_many_rescues_failures_cheaper_than_backoff() {
         let run = |hedged: bool| {
             let obs = Obs::new(SimClock::new());
-            let flaky = Arc::new(
-                FlakyStore::new(Arc::new(MemoryStore::new()), 0.35, FailScope::Reads, 17)
-                    .unwrap()
-                    .with_obs(&obs),
-            );
+            let flaky = Arc::new(flaky_seeded(0.35, FailScope::Reads, 17).with_obs(&obs));
             let policy =
                 RetryPolicy { max_attempts: 6, initial_backoff_secs: 0.1, multiplier: 2.0 };
             let mut retry =
@@ -1162,11 +1081,7 @@ mod tests {
     fn hedging_is_deterministic() {
         let run = || {
             let obs = Obs::new(SimClock::new());
-            let flaky = Arc::new(
-                FlakyStore::new(Arc::new(MemoryStore::new()), 0.3, FailScope::Reads, 23)
-                    .unwrap()
-                    .with_obs(&obs),
-            );
+            let flaky = Arc::new(flaky_seeded(0.3, FailScope::Reads, 23).with_obs(&obs));
             let retry = RetryStore::new(flaky, RetryPolicy::default(), obs.clock().clone())
                 .unwrap()
                 .with_obs(&obs)
@@ -1187,9 +1102,7 @@ mod tests {
     fn breaker_trips_fast_fails_and_recovers() {
         let clock = SimClock::new();
         let obs = Obs::new(clock.clone());
-        let dead = Arc::new(
-            FlakyStore::new(Arc::new(MemoryStore::new()), 1.0, FailScope::Reads, 3).unwrap(),
-        );
+        let dead = Arc::new(flaky_seeded(1.0, FailScope::Reads, 3));
         let policy =
             BreakerPolicy { failure_threshold: 3, cooldown_secs: 0.5, success_threshold: 2 };
         let breaker =
@@ -1259,9 +1172,7 @@ mod tests {
     #[test]
     fn breaker_batches_fast_fail_per_key() {
         let clock = SimClock::new();
-        let dead = Arc::new(
-            FlakyStore::new(Arc::new(MemoryStore::new()), 1.0, FailScope::Reads, 3).unwrap(),
-        );
+        let dead = Arc::new(flaky_seeded(1.0, FailScope::Reads, 3));
         let breaker = BreakerStore::new(
             dead,
             BreakerPolicy { failure_threshold: 2, ..BreakerPolicy::default() },
@@ -1369,11 +1280,7 @@ mod tests {
         // identical attempt streams.
         let stack = || {
             let obs = Obs::new(SimClock::new());
-            let flaky = Arc::new(
-                FlakyStore::new(Arc::new(MemoryStore::new()), 0.4, FailScope::Reads, 19)
-                    .unwrap()
-                    .with_obs(&obs),
-            );
+            let flaky = Arc::new(flaky_seeded(0.4, FailScope::Reads, 19).with_obs(&obs));
             let retry = RetryStore::new(flaky, policy, obs.clock().clone()).unwrap().with_obs(&obs);
             for (i, k) in keys.iter().take(28).enumerate() {
                 retry.put(k, format!("v{i}").as_bytes()).unwrap();
@@ -1428,9 +1335,7 @@ mod tests {
     #[test]
     fn breaker_shields_dead_endpoint_from_put_many() {
         let clock = SimClock::new();
-        let dead = Arc::new(
-            FlakyStore::new(Arc::new(MemoryStore::new()), 1.0, FailScope::Writes, 3).unwrap(),
-        );
+        let dead = Arc::new(flaky_seeded(1.0, FailScope::Writes, 3));
         let breaker = BreakerStore::new(
             dead.clone(),
             BreakerPolicy { failure_threshold: 2, ..BreakerPolicy::default() },

@@ -1,18 +1,25 @@
-//! Two-tier persistent content-addressed cache with scan-resistant
-//! admission.
+//! The block cache: a two-tier persistent content-addressed cache with
+//! scan-resistant admission.
 //!
-//! [`TierCache`] promotes the single-tier [`crate::cache::CachedStore`]
-//! into a hierarchy:
+//! OpenVisus is "caching-enabled" (§III-A): once a block has streamed from
+//! remote storage it is served locally on re-access, which is what makes
+//! interactive pan/zoom affordable over a WAN. [`TierCache`] provides that
+//! layer for any inner [`ObjectStore`], with whole-object granularity —
+//! IDX blocks are the objects, so block granularity and object granularity
+//! coincide. It has two tiers:
 //!
-//! * a **hot RAM tier** with the exact `CachedStore` semantics (byte
-//!   budget, LRU with lazy invalidation, single-flight fetch
-//!   deduplication, write-epoch coherence guard) plus **TinyLFU-style
-//!   scan-resistant admission**: a count-min frequency sketch with a
-//!   doorkeeper bloom filter decides, at eviction time, whether the
-//!   incoming object is worth more than the LRU victim. One tenant's
-//!   bulk-ingest scan (every key touched once) can no longer flush
-//!   another tenant's interactive working set (every key touched often);
-//! * a **persistent disk tier**: a content-addressed sharded layout
+//! * a **hot RAM tier**: byte budget, LRU with lazy invalidation,
+//!   single-flight fetch deduplication (concurrent misses on one key
+//!   share one inner fetch; errors are shared but never cached) and a
+//!   write-epoch coherence guard, plus **TinyLFU-style scan-resistant
+//!   admission**: a count-min frequency sketch with a doorkeeper bloom
+//!   filter decides, at eviction time, whether the incoming object is
+//!   worth more than the LRU victim. One tenant's bulk-ingest scan
+//!   (every key touched once) can no longer flush another tenant's
+//!   interactive working set (every key touched often). Below its budget
+//!   the tier never evicts, so admission never engages;
+//! * an optional **persistent disk tier** ([`TierCache::with_disk`]): a
+//!   content-addressed sharded layout
 //!   ([`hash_to_path`]: digest → hash-prefix fan-out directories, one
 //!   file per object) over any inner [`ObjectStore`] — typically
 //!   [`crate::local::LocalStore`], whose tmp-then-rename writes make
@@ -28,11 +35,11 @@
 //! `tiercache.ram_hits + tiercache.disk_hits + tiercache.wan_fetches ==
 //! tiercache.lookups` reconciles exactly, and a client restart over a
 //! warm disk tier performs zero origin reads. Writes go through all
-//! tiers (origin, then disk, then RAM) under one write-epoch bump, so
-//! the PR 4 stale-read invariants hold across both tiers and across
-//! restarts.
+//! tiers (origin, then disk, then RAM) under one write-epoch bump, so a
+//! fetch that raced a write can never install stale bytes in either tier,
+//! across restarts too. Hits are served under a lock held only for the
+//! map lookup — they are never queued behind a slow WAN miss.
 
-use crate::cache::CacheStats;
 use crate::store::{slice_range, validate_key, ObjectMeta, ObjectStore};
 use nsdf_util::obs::{Counter, Gauge, Obs};
 use nsdf_util::{fnv1a64, splitmix64, NsdfError, Result};
@@ -89,7 +96,9 @@ fn decode_shard(expected_key: &str, shard: &[u8]) -> Result<Vec<u8>> {
     }
     let key_len = u32::from_le_bytes(shard[8..12].try_into().expect("4 bytes")) as usize;
     let mut at = 12;
-    if shard.len() < at + key_len + 16 {
+    // Length fields are untrusted: checked arithmetic keeps a damaged
+    // field a `corrupt` error rather than an overflow.
+    if key_len.checked_add(at + 16).is_none_or(|end| shard.len() < end) {
         return fail("truncated header");
     }
     if &shard[at..at + key_len] != expected_key.as_bytes() {
@@ -99,7 +108,7 @@ fn decode_shard(expected_key: &str, shard: &[u8]) -> Result<Vec<u8>> {
     let checksum = u64::from_le_bytes(shard[at..at + 8].try_into().expect("8 bytes"));
     let payload_len = u64::from_le_bytes(shard[at + 8..at + 16].try_into().expect("8 bytes"));
     at += 16;
-    if shard.len() != at + payload_len as usize {
+    if (shard.len() - at) as u64 != payload_len {
         return fail("torn payload");
     }
     let payload = &shard[at..];
@@ -242,7 +251,9 @@ struct RamEntry {
     tick: u64,
 }
 
-/// The hot RAM tier: `CachedStore`-style LRU with lazy invalidation.
+/// The hot RAM tier: LRU with lazy invalidation. The recency queue holds
+/// `(key, tick)` pairs; a pair is live only if the entry's current tick
+/// matches.
 #[derive(Debug, Default)]
 struct RamTier {
     entries: HashMap<String, RamEntry>,
@@ -349,9 +360,14 @@ struct TierState {
 }
 
 // ---------------------------------------------------------------------------
-// Single-flight slot (same protocol as CachedStore)
+// Single-flight slot
 // ---------------------------------------------------------------------------
 
+/// One in-flight fetch that concurrent missers of the same key share.
+///
+/// The leader publishes into `done` and signals `cv`; waiters block on the
+/// condvar until the slot fills. Results are replicated per waiter (the
+/// payload through the `Arc`, errors via [`NsdfError::replicate`]).
 #[derive(Default)]
 struct InFlight {
     done: Mutex<Option<std::result::Result<Arc<Vec<u8>>, NsdfError>>>,
@@ -371,8 +387,11 @@ impl InFlight {
     }
 }
 
+/// What a missing key resolved to in the in-flight map.
 enum Flight {
+    /// This thread claimed the fetch and must publish into the slot.
     Leader(Arc<InFlight>),
+    /// Another thread is already fetching; wait on its slot.
     Follower(Arc<InFlight>),
 }
 
@@ -390,8 +409,8 @@ type Fetched = Result<(Arc<Vec<u8>>, FetchSource)>;
 // Metrics
 // ---------------------------------------------------------------------------
 
-/// Registry handles under the `cache` (RAM tier, `CachedStore`
-/// compatible) and `tiercache` scopes.
+/// Registry handles under the `cache` (RAM tier) and `tiercache`
+/// (whole hierarchy) scopes.
 struct TierMetrics {
     obs: Obs,
     hits: Counter,
@@ -436,6 +455,40 @@ impl TierMetrics {
             disk_evictions: tier.counter("disk_evictions"),
             disk_resident_bytes: tier.gauge("disk_resident_bytes"),
             obs: obs.clone(),
+        }
+    }
+}
+
+/// RAM-tier hit/miss accounting (see [`TierCache::stats`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct CacheStats {
+    /// Reads served from the RAM tier.
+    pub hits: u64,
+    /// Reads that missed the RAM tier (served by the disk tier or the
+    /// origin).
+    pub misses: u64,
+    /// Objects evicted for any reason (`evictions_budget + evictions_epoch`).
+    pub evictions: u64,
+    /// Objects evicted to respect the byte budget.
+    pub evictions_budget: u64,
+    /// Objects invalidated by a write epoch: a delete, or a write-through
+    /// replacing (or displacing, for an oversized overwrite) a resident copy.
+    pub evictions_epoch: u64,
+    /// Bytes currently resident in the RAM tier.
+    pub resident_bytes: u64,
+    /// Reads that piggy-backed on another thread's in-flight fetch instead
+    /// of issuing their own (single-flight deduplication).
+    pub coalesced_waits: u64,
+}
+
+impl CacheStats {
+    /// Hit fraction in `[0, 1]`; 0 when no reads happened.
+    pub fn hit_rate(&self) -> f64 {
+        let total = self.hits + self.misses;
+        if total == 0 {
+            0.0
+        } else {
+            self.hits as f64 / total as f64
         }
     }
 }
@@ -488,9 +541,11 @@ pub struct TierCache {
 }
 
 impl TierCache {
-    /// A RAM-only tier cache (behaviourally a scan-resistant
-    /// [`crate::cache::CachedStore`]) over `inner`. Attach a persistent
-    /// tier with [`TierCache::with_disk`].
+    /// Cache up to `ram_bytes` of object payloads in RAM in front of
+    /// `inner`. Attach a persistent tier with [`TierCache::with_disk`].
+    ///
+    /// Accounting goes to a private registry until
+    /// [`TierCache::with_obs`] wires in a shared one.
     pub fn new(inner: Arc<dyn ObjectStore>, ram_bytes: u64) -> TierCache {
         TierCache {
             inner,
@@ -564,9 +619,8 @@ impl TierCache {
         self.ram_capacity
     }
 
-    /// RAM-tier statistics in the [`CacheStats`] shape `CachedStore`
-    /// reports, so existing dashboards and tests read either cache the
-    /// same way.
+    /// RAM-tier statistics (hit rate, residency, evictions),
+    /// reconstructed from the registry counters.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.m.hits.get(),
@@ -597,8 +651,9 @@ impl TierCache {
         }
     }
 
-    /// Drop every RAM-resident object (simulates a process restart while
-    /// keeping the disk tier warm). Statistics are preserved.
+    /// Drop every RAM-resident object: a cold start for a RAM-only cache,
+    /// or a process restart over a warm disk tier. Statistics are
+    /// preserved.
     pub fn clear_ram(&self) {
         let mut st = self.state.lock();
         st.ram = RamTier::default();
@@ -1015,6 +1070,8 @@ mod tests {
     use super::*;
     use crate::local::LocalStore;
     use crate::memory::MemoryStore;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::time::Duration;
 
     fn temp_disk(name: &str) -> (Arc<LocalStore>, std::path::PathBuf) {
         let dir =
@@ -1030,6 +1087,10 @@ mod tests {
             .with_disk(disk, "t", disk_bytes)
             .unwrap();
         (tc, mem)
+    }
+
+    fn ram(capacity: u64) -> TierCache {
+        TierCache::new(Arc::new(MemoryStore::new()), capacity)
     }
 
     #[test]
@@ -1061,6 +1122,412 @@ mod tests {
         let last = flipped.len() - 1;
         flipped[last] ^= 0x01;
         assert!(decode_shard("k/1", &flipped).unwrap_err().is_corrupt());
+    }
+
+    #[test]
+    fn huge_payload_length_field_is_corrupt_not_an_overflow() {
+        let mut shard = encode_shard("k/1", b"payload-bytes");
+        let len_at = 8 + 4 + 3 + 8;
+        shard[len_at..len_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(decode_shard("k/1", &shard).unwrap_err().is_corrupt());
+    }
+
+    #[test]
+    fn huge_key_length_field_is_corrupt_not_an_overflow() {
+        let mut shard = encode_shard("k/1", b"payload-bytes");
+        shard[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(decode_shard("k/1", &shard).unwrap_err().is_corrupt());
+    }
+
+    #[test]
+    fn second_read_hits() {
+        let c = ram(1 << 20);
+        c.put("k", b"value").unwrap();
+        c.clear_ram(); // start cold
+        c.get("k").unwrap();
+        c.get("k").unwrap();
+        let s = c.stats();
+        assert_eq!(s.misses, 1);
+        assert_eq!(s.hits, 1);
+        assert_eq!(s.resident_bytes, 5);
+        assert!((s.hit_rate() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn eviction_respects_budget() {
+        let c = ram(25);
+        for k in ["a", "b", "c"] {
+            c.put(k, &[0u8; 10]).unwrap(); // 30 bytes offered to a 25-byte budget
+        }
+        let s = c.stats();
+        assert!(s.resident_bytes <= 25);
+        assert_eq!(s.resident_bytes, 20, "two of the three payloads fit");
+        assert_eq!(
+            s.evictions_budget + c.tier_stats().admit_rejected,
+            1,
+            "exactly one payload was evicted or kept out"
+        );
+        assert_eq!(s.evictions_epoch, 0, "no write displaced a resident copy");
+    }
+
+    #[test]
+    fn oversized_objects_bypass_cache() {
+        let c = ram(8);
+        c.put("big", &[0u8; 100]).unwrap();
+        assert_eq!(c.stats().resident_bytes, 0);
+        c.get("big").unwrap();
+        c.get("big").unwrap();
+        assert_eq!(c.stats().hits, 0);
+        assert_eq!(c.stats().misses, 2);
+    }
+
+    #[test]
+    fn delete_invalidates() {
+        let c = ram(1 << 20);
+        c.put("k", b"v").unwrap();
+        c.delete("k").unwrap();
+        assert!(c.get("k").unwrap_err().is_not_found());
+        assert_eq!(c.stats().resident_bytes, 0);
+    }
+
+    #[test]
+    fn eviction_reasons_reconcile_budget_plus_epoch() {
+        let c = ram(25);
+        for k in ["a", "b", "c"] {
+            c.put(k, &[0u8; 10]).unwrap(); // c ties a's frequency: rejected
+        }
+        assert_eq!(c.stats().evictions_budget, 0, "a tie never displaces the victim");
+        c.get("c").unwrap(); // c's second access outranks a: a is evicted
+        c.put("b", &[1u8; 10]).unwrap(); // overwrite resident -> epoch
+        c.delete("c").unwrap(); // delete resident -> epoch
+        c.delete("ghost").unwrap_err(); // delete of a non-resident key: no eviction
+        let s = c.stats();
+        assert_eq!(s.evictions_budget, 1, "a evicted when c pushed residency past budget");
+        assert_eq!(s.evictions_epoch, 2, "one overwrite displacement + one delete");
+        assert_eq!(
+            s.evictions,
+            s.evictions_budget + s.evictions_epoch,
+            "reason split must reconcile with the total"
+        );
+    }
+
+    #[test]
+    fn oversized_overwrite_displaces_the_stale_resident_copy() {
+        // Regression: overwriting a cached small object with a payload
+        // larger than the whole cache must not leave the old bytes
+        // resident — the next read refetches the new payload.
+        let c = ram(8);
+        c.put("k", b"tiny").unwrap();
+        assert_eq!(c.stats().resident_bytes, 4);
+        c.put("k", &[7u8; 100]).unwrap();
+        assert_eq!(c.stats().resident_bytes, 0, "stale copy displaced, giant never admitted");
+        assert_eq!(c.get("k").unwrap(), vec![7u8; 100], "read serves the new payload");
+        let s = c.stats();
+        assert_eq!(s.evictions_epoch, 1, "the displacement is an epoch eviction");
+        assert_eq!(s.misses, 1, "oversized payload is refetched, not cached");
+    }
+
+    #[test]
+    fn ranged_reads_served_from_cached_object() {
+        let c = ram(1 << 20);
+        c.put("k", b"0123456789").unwrap();
+        assert_eq!(c.get_range("k", 2, 4).unwrap(), b"2345");
+        assert_eq!(c.stats().hits, 1);
+    }
+
+    /// Inner store that counts `get` calls and can be slowed down to force
+    /// real fetch overlap in concurrency tests.
+    struct CountingStore {
+        inner: MemoryStore,
+        gets: AtomicU64,
+        delay: Duration,
+    }
+
+    impl CountingStore {
+        fn new(delay_ms: u64) -> Self {
+            CountingStore {
+                inner: MemoryStore::new(),
+                gets: AtomicU64::new(0),
+                delay: Duration::from_millis(delay_ms),
+            }
+        }
+
+        fn gets(&self) -> u64 {
+            self.gets.load(Ordering::SeqCst)
+        }
+    }
+
+    impl ObjectStore for CountingStore {
+        fn put(&self, key: &str, data: &[u8]) -> Result<ObjectMeta> {
+            self.inner.put(key, data)
+        }
+
+        fn get(&self, key: &str) -> Result<Vec<u8>> {
+            self.gets.fetch_add(1, Ordering::SeqCst);
+            if !self.delay.is_zero() {
+                std::thread::sleep(self.delay);
+            }
+            self.inner.get(key)
+        }
+
+        fn head(&self, key: &str) -> Result<ObjectMeta> {
+            self.inner.head(key)
+        }
+
+        fn list(&self, prefix: &str) -> Result<Vec<ObjectMeta>> {
+            self.inner.list(prefix)
+        }
+
+        fn delete(&self, key: &str) -> Result<()> {
+            self.inner.delete(key)
+        }
+    }
+
+    #[test]
+    fn concurrent_misses_single_flight() {
+        // 16 threads hammer the same cold key; the inner store must see
+        // exactly one fetch, everyone must get the payload.
+        let counting = Arc::new(CountingStore::new(30));
+        counting.put("hot", b"block-payload").unwrap();
+        let cached = Arc::new(TierCache::new(counting.clone(), 1 << 20));
+        let barrier = Arc::new(std::sync::Barrier::new(16));
+        crossbeam::scope(|s| {
+            for _ in 0..16 {
+                let (cached, barrier) = (cached.clone(), barrier.clone());
+                s.spawn(move |_| {
+                    barrier.wait();
+                    assert_eq!(cached.get("hot").unwrap(), b"block-payload");
+                });
+            }
+        })
+        .unwrap();
+        assert_eq!(counting.gets(), 1, "single-flight must deduplicate concurrent misses");
+        let stats = cached.stats();
+        assert_eq!(stats.misses, 1);
+        assert_eq!(stats.hits + stats.coalesced_waits, 15);
+        assert!(stats.coalesced_waits > 0, "with a 30ms fetch, some threads must coalesce");
+    }
+
+    #[test]
+    fn single_flight_stress_metrics_count_one_inner_fetch() {
+        // 32 threads hammer one cold key through a shared registry; the
+        // metrics counters (not hand-rolled probes) must show exactly one
+        // inner fetch, with every other reader accounted for as a hit or
+        // a coalesced wait.
+        let obs = Obs::default();
+        let counting = Arc::new(CountingStore::new(20));
+        counting.put("hot", b"payload").unwrap();
+        let cached =
+            Arc::new(TierCache::new(counting.clone(), 1 << 20).with_obs(&obs.scoped("seal")));
+        let threads = 32;
+        let barrier = Arc::new(std::sync::Barrier::new(threads));
+        crossbeam::scope(|s| {
+            for _ in 0..threads {
+                let (cached, barrier) = (cached.clone(), barrier.clone());
+                s.spawn(move |_| {
+                    barrier.wait();
+                    assert_eq!(cached.get("hot").unwrap(), b"payload");
+                });
+            }
+        })
+        .unwrap();
+        let snap = obs.snapshot();
+        assert_eq!(snap.counter("seal.cache.misses"), 1, "exactly one inner fetch");
+        assert_eq!(
+            snap.counter("seal.cache.hits") + snap.counter("seal.cache.coalesced_waits"),
+            threads as u64 - 1,
+            "every other reader is a hit or a coalesced wait"
+        );
+        assert_eq!(snap.gauge("seal.cache.resident_bytes"), 7.0);
+        // The registry agrees with the inner store's own count.
+        assert_eq!(counting.gets(), snap.counter("seal.cache.misses"));
+        assert_eq!(snap.counter("seal.tiercache.wan_fetches"), 1);
+    }
+
+    #[test]
+    fn failed_fetch_shared_but_not_cached() {
+        // Concurrent misses on a missing key share one NotFound; the error
+        // is not cached, so a later write makes the key readable.
+        let counting = Arc::new(CountingStore::new(30));
+        let cached = Arc::new(TierCache::new(counting.clone(), 1 << 20));
+        let barrier = Arc::new(std::sync::Barrier::new(8));
+        crossbeam::scope(|s| {
+            for _ in 0..8 {
+                let (cached, barrier) = (cached.clone(), barrier.clone());
+                s.spawn(move |_| {
+                    barrier.wait();
+                    assert!(cached.get("ghost").unwrap_err().is_not_found());
+                });
+            }
+        })
+        .unwrap();
+        assert_eq!(counting.gets(), 1, "one shared failing fetch");
+        cached.put("ghost", b"now real").unwrap();
+        assert_eq!(cached.get("ghost").unwrap(), b"now real");
+    }
+
+    #[test]
+    fn get_many_partitions_hits_and_misses() {
+        let counting = Arc::new(CountingStore::new(0));
+        for k in ["a", "b", "c", "d"] {
+            counting.put(k, k.as_bytes()).unwrap();
+        }
+        let cached = TierCache::new(counting.clone(), 1 << 20);
+        cached.get("a").unwrap();
+        cached.get("c").unwrap();
+        let before = counting.gets();
+        let results = cached.get_many(&["a", "b", "c", "d", "missing"]);
+        assert_eq!(results[0].as_ref().unwrap(), b"a");
+        assert_eq!(results[1].as_ref().unwrap(), b"b");
+        assert_eq!(results[2].as_ref().unwrap(), b"c");
+        assert_eq!(results[3].as_ref().unwrap(), b"d");
+        assert!(results[4].as_ref().unwrap_err().is_not_found());
+        // Only the three missing keys reach the inner store.
+        assert_eq!(counting.gets() - before, 3);
+        let stats = cached.stats();
+        assert_eq!(stats.hits, 2); // a and c, warmed by the single gets
+        assert_eq!(stats.misses, 5); // 2 warming gets + 3 batch leaders
+
+        // The whole batch is now warm: a re-read touches the inner store
+        // zero times.
+        let warm = cached.get_many(&["a", "b", "c", "d"]);
+        assert!(warm.iter().all(|r| r.is_ok()));
+        assert_eq!(counting.gets() - before, 3);
+    }
+
+    #[test]
+    fn get_many_deduplicates_repeated_keys() {
+        let counting = Arc::new(CountingStore::new(0));
+        counting.put("k", b"v").unwrap();
+        let cached = TierCache::new(counting.clone(), 1 << 20);
+        let results = cached.get_many(&["k", "k", "k"]);
+        assert!(results.iter().all(|r| r.as_ref().unwrap() == b"v"));
+        assert_eq!(counting.gets(), 1, "repeated key fetched once per batch");
+        assert_eq!(cached.stats().coalesced_waits, 2);
+    }
+
+    #[test]
+    fn put_many_writes_through_successes_only() {
+        let c = ram(1 << 20);
+        let results = c.put_many(&[("a", b"alpha" as &[u8]), ("bad//key", b"x"), ("b", b"beta")]);
+        assert!(results[0].is_ok());
+        assert!(results[1].is_err());
+        assert!(results[2].is_ok());
+        // Both stored payloads are warm; the failed key cached nothing.
+        c.get("a").unwrap();
+        c.get("b").unwrap();
+        let s = c.stats();
+        assert_eq!(s.hits, 2);
+        assert_eq!(s.misses, 0);
+        assert_eq!(s.resident_bytes, 9);
+    }
+
+    #[test]
+    fn put_many_overwrite_never_serves_stale_bytes() {
+        let c = ram(1 << 20);
+        c.put("k", b"old-bytes").unwrap();
+        assert_eq!(c.get("k").unwrap(), b"old-bytes");
+        c.put_many(&[("k", b"new-bytes" as &[u8])]);
+        assert_eq!(c.get("k").unwrap(), b"new-bytes", "write-through replaces the cached copy");
+        assert_eq!(c.stats().misses, 0, "the fresh copy is served from cache, not refetched");
+    }
+
+    /// Inner store whose `get` captures the stored value, then parks until
+    /// the test releases it — freezing a single-flight leader mid-fetch so
+    /// a write can land deterministically inside the miss window.
+    struct ReadGate {
+        inner: MemoryStore,
+        entered: Mutex<bool>,
+        entered_cv: Condvar,
+        release: Mutex<bool>,
+        release_cv: Condvar,
+    }
+
+    impl ReadGate {
+        fn new() -> Self {
+            ReadGate {
+                inner: MemoryStore::new(),
+                entered: Mutex::new(false),
+                entered_cv: Condvar::new(),
+                release: Mutex::new(false),
+                release_cv: Condvar::new(),
+            }
+        }
+
+        /// Block until a `get` has read its value and parked at the gate.
+        fn wait_entered(&self) {
+            let mut e = self.entered.lock();
+            while !*e {
+                e = self.entered_cv.wait(e);
+            }
+        }
+
+        /// Open the gate, letting parked `get`s return their captured value.
+        fn open(&self) {
+            *self.release.lock() = true;
+            self.release_cv.notify_all();
+        }
+    }
+
+    impl ObjectStore for ReadGate {
+        fn put(&self, key: &str, data: &[u8]) -> Result<ObjectMeta> {
+            self.inner.put(key, data)
+        }
+
+        fn get(&self, key: &str) -> Result<Vec<u8>> {
+            let v = self.inner.get(key); // capture the pre-write value
+            *self.entered.lock() = true;
+            self.entered_cv.notify_all();
+            let mut r = self.release.lock();
+            while !*r {
+                r = self.release_cv.wait(r);
+            }
+            drop(r);
+            v
+        }
+
+        fn head(&self, key: &str) -> Result<ObjectMeta> {
+            self.inner.head(key)
+        }
+
+        fn list(&self, prefix: &str) -> Result<Vec<ObjectMeta>> {
+            self.inner.list(prefix)
+        }
+
+        fn delete(&self, key: &str) -> Result<()> {
+            self.inner.delete(key)
+        }
+    }
+
+    #[test]
+    fn miss_in_flight_during_write_never_caches_stale_bytes() {
+        // Regression: a single-flight leader reads the old payload, then a
+        // put_many write-through lands while that fetch is still in flight.
+        // The leader's publish must NOT clobber the newer cached copy.
+        let gate = Arc::new(ReadGate::new());
+        gate.put("k", b"old-bytes").unwrap();
+        let cached = Arc::new(TierCache::new(gate.clone(), 1 << 20));
+        crossbeam::scope(|s| {
+            let reader = {
+                let cached = cached.clone();
+                s.spawn(move |_| cached.get("k").unwrap())
+            };
+            gate.wait_entered(); // the leader holds the pre-write payload
+            cached.put_many(&[("k", b"new-bytes" as &[u8])]);
+            gate.open();
+            // The racing read began before the write, so the old payload is
+            // a linearizable result for it.
+            assert_eq!(reader.join().unwrap(), b"old-bytes");
+        })
+        .unwrap();
+        assert_eq!(
+            cached.get("k").unwrap(),
+            b"new-bytes",
+            "publish of an in-flight fetch must not overwrite a newer write-through"
+        );
+        let s = cached.stats();
+        assert_eq!(s.misses, 1);
+        assert_eq!(s.hits, 1, "the fresh payload is served from cache, not refetched");
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! plain in-memory map under arbitrary operation interleavings.
 
 use nsdf_storage::{
-    CachedStore, CloudStore, FailScope, FlakyStore, MemoryStore, NetworkProfile, ObjectStore,
-    RetryPolicy, RetryStore,
+    CloudStore, FailScope, FaultPlan, FaultStore, MemoryStore, NetworkProfile, ObjectStore,
+    RetryPolicy, RetryStore, TierCache,
 };
 use nsdf_util::SimClock;
 use proptest::prelude::*;
@@ -92,9 +92,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn cached_store_matches_model(ops in proptest::collection::vec(op_strategy(), 0..60)) {
-        // A tiny cache maximises eviction churn.
-        let store = CachedStore::new(Arc::new(MemoryStore::new()), 128);
+    fn tier_cache_matches_model(ops in proptest::collection::vec(op_strategy(), 0..60)) {
+        // A tiny cache maximises eviction churn and drives TinyLFU's
+        // reject path.
+        let store = TierCache::new(Arc::new(MemoryStore::new()), 128);
         check_store(&store, &ops);
     }
 
@@ -114,8 +115,9 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(), 0..60),
         fail_rate in 0.0f64..0.4,
     ) {
+        let plan = FaultPlan::new(9).with_fault_rate(fail_rate).with_scope(FailScope::All);
         let flaky = Arc::new(
-            FlakyStore::new(Arc::new(MemoryStore::new()), fail_rate, FailScope::All, 9).unwrap(),
+            FaultStore::new(Arc::new(MemoryStore::new()), plan, SimClock::new()).unwrap(),
         );
         let store = RetryStore::new(
             flaky,
@@ -136,7 +138,8 @@ proptest! {
             clock.clone(),
             2,
         ));
-        let flaky = Arc::new(FlakyStore::new(wan, 0.15, FailScope::All, 3).unwrap());
+        let plan = FaultPlan::new(3).with_fault_rate(0.15).with_scope(FailScope::All);
+        let flaky = Arc::new(FaultStore::new(wan, plan, SimClock::new()).unwrap());
         let retry = Arc::new(
             RetryStore::new(
                 flaky,
@@ -145,7 +148,7 @@ proptest! {
             )
             .unwrap(),
         );
-        let store = CachedStore::new(retry, 4096);
+        let store = TierCache::new(retry, 4096);
         check_store(&store, &ops);
     }
 }

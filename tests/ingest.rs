@@ -299,7 +299,7 @@ fn interleaved_writes_and_reads_never_serve_stale_blocks() {
     const IH: usize = 64;
     let obs = Obs::default();
     let base: Arc<dyn ObjectStore> = Arc::new(MemoryStore::new());
-    let cached = Arc::new(CachedStore::new(base, 64 << 20).with_obs(&obs));
+    let cached = Arc::new(TierCache::new(base, 64 << 20).with_obs(&obs));
     let meta = IdxMeta::new_2d(
         "coherence",
         IW as u64,
