@@ -124,7 +124,7 @@ impl NsdfClient {
     /// clock; metrics are namespaced per endpoint (`seal.wan.bytes_down`,
     /// `dataverse.cache.hits`, ...). Get it via [`NsdfClient::obs`].
     pub fn simulated(seed: u64) -> NsdfClient {
-        Self::simulated_inner(seed, None).expect("RAM-only wiring cannot fail")
+        Self::simulated_inner(seed, None, None).expect("RAM-only wiring cannot fail")
     }
 
     /// [`NsdfClient::simulated`] with a shared persistent disk tier under
@@ -133,10 +133,18 @@ impl NsdfClient {
     /// over the same store — after a restart, or for another tenant —
     /// serves previously-read regions with zero `wan.read_ops`.
     pub fn simulated_tiered(seed: u64, disk: Arc<dyn ObjectStore>) -> Result<NsdfClient> {
-        Self::simulated_inner(seed, Some(disk))
+        Self::simulated_inner(seed, None, Some(disk))
     }
 
-    fn simulated_inner(seed: u64, disk: Option<Arc<dyn ObjectStore>>) -> Result<NsdfClient> {
+    /// Wire `"dataverse"` and `"seal"` over their WAN models. With `chaos`,
+    /// each WAN runs the fault plan behind the policy's resilience stack
+    /// and the policy's cache budget; without it, the WAN sits directly
+    /// under a cache of [`EndpointPolicy::default`]'s size.
+    fn simulated_inner(
+        seed: u64,
+        chaos: Option<(&FaultPlan, &EndpointPolicy)>,
+        disk: Option<Arc<dyn ObjectStore>>,
+    ) -> Result<NsdfClient> {
         let mut client = Self::empty();
         let (clock, obs) = (client.clock.clone(), client.obs.clone());
         for (name, kind, profile, label) in [
@@ -158,7 +166,15 @@ impl NsdfClient {
                 )
                 .with_obs(&ep_obs),
             );
-            client.wire_remote(name, kind, wan, &ep_obs, 256 << 20, disk.as_ref())?;
+            let (stack, cache_bytes) = match chaos {
+                None => (wan as Arc<dyn ObjectStore>, EndpointPolicy::default().cache_bytes),
+                Some((plan, policy)) => {
+                    let mut ep_plan = plan.clone();
+                    ep_plan.seed = derive_seed(plan.seed, name);
+                    (resilience_stack(wan, ep_plan, policy, &clock, &ep_obs)?, policy.cache_bytes)
+                }
+            };
+            client.wire_remote(name, kind, stack, &ep_obs, cache_bytes, disk.as_ref())?;
         }
         Ok(client)
     }
@@ -221,7 +237,7 @@ impl NsdfClient {
         plan: &FaultPlan,
         policy: &EndpointPolicy,
     ) -> Result<NsdfClient> {
-        Self::simulated_chaos_inner(seed, plan, policy, None)
+        Self::simulated_inner(seed, Some((plan, policy)), None)
     }
 
     /// [`NsdfClient::simulated_chaos`] with a shared persistent disk tier
@@ -234,55 +250,7 @@ impl NsdfClient {
         policy: &EndpointPolicy,
         disk: Arc<dyn ObjectStore>,
     ) -> Result<NsdfClient> {
-        Self::simulated_chaos_inner(seed, plan, policy, Some(disk))
-    }
-
-    fn simulated_chaos_inner(
-        seed: u64,
-        plan: &FaultPlan,
-        policy: &EndpointPolicy,
-        disk: Option<Arc<dyn ObjectStore>>,
-    ) -> Result<NsdfClient> {
-        let mut client = Self::empty();
-        let (clock, obs) = (client.clock.clone(), client.obs.clone());
-        for (name, kind, profile, label) in [
-            (
-                "dataverse",
-                EndpointKind::PublicCommons,
-                NetworkProfile::public_dataverse(),
-                "wan-dataverse",
-            ),
-            ("seal", EndpointKind::PrivateCloud, NetworkProfile::private_seal(), "wan-seal"),
-        ] {
-            let ep_obs = obs.scoped(name);
-            let wan = Arc::new(
-                CloudStore::new(
-                    Arc::new(MemoryStore::new()),
-                    profile,
-                    clock.clone(),
-                    derive_seed(seed, label),
-                )
-                .with_obs(&ep_obs),
-            );
-            let mut ep_plan = plan.clone();
-            ep_plan.seed = derive_seed(plan.seed, name);
-            let faulty = Arc::new(FaultStore::new(wan, ep_plan, clock.clone())?.with_obs(&ep_obs));
-            let mut stack: Arc<dyn ObjectStore> = faulty;
-            if let Some(breaker) = policy.breaker {
-                stack =
-                    Arc::new(BreakerStore::new(stack, breaker, clock.clone())?.with_obs(&ep_obs));
-            }
-            if policy.verify_checksums {
-                stack = Arc::new(IntegrityStore::new(stack).with_obs(&ep_obs));
-            }
-            let mut retry = RetryStore::new(stack, policy.retry, clock.clone())?;
-            if let Some(hedge) = policy.hedge {
-                retry = retry.with_hedging(hedge)?;
-            }
-            stack = Arc::new(retry.with_obs(&ep_obs));
-            client.wire_remote(name, kind, stack, &ep_obs, policy.cache_bytes, disk.as_ref())?;
-        }
-        Ok(client)
+        Self::simulated_inner(seed, Some((plan, policy)), Some(disk))
     }
 
     /// The shared virtual clock.
@@ -369,6 +337,31 @@ impl NsdfClient {
         let ds = self.open_dataset(endpoint, base)?;
         Ok(QuerySession::<f32>::new(ds, field)?.with_obs(&self.obs.scoped(endpoint)))
     }
+}
+
+/// The fault-injected resilience stack over one endpoint's WAN, bottom up:
+/// fault plan, breaker, checksum verification, then retry with hedging —
+/// each layer optional as `policy` says.
+fn resilience_stack(
+    wan: Arc<CloudStore>,
+    plan: FaultPlan,
+    policy: &EndpointPolicy,
+    clock: &SimClock,
+    ep_obs: &Obs,
+) -> Result<Arc<dyn ObjectStore>> {
+    let mut stack: Arc<dyn ObjectStore> =
+        Arc::new(FaultStore::new(wan, plan, clock.clone())?.with_obs(ep_obs));
+    if let Some(breaker) = policy.breaker {
+        stack = Arc::new(BreakerStore::new(stack, breaker, clock.clone())?.with_obs(ep_obs));
+    }
+    if policy.verify_checksums {
+        stack = Arc::new(IntegrityStore::new(stack).with_obs(ep_obs));
+    }
+    let mut retry = RetryStore::new(stack, policy.retry, clock.clone())?;
+    if let Some(hedge) = policy.hedge {
+        retry = retry.with_hedging(hedge)?;
+    }
+    Ok(Arc::new(retry.with_obs(ep_obs)))
 }
 
 #[cfg(test)]

@@ -1,9 +1,9 @@
 //! The four-step tutorial pipeline as one scheduled task DAG.
 //!
-//! [`crate::pipeline::run_tutorial`] runs the four steps as a linear
-//! script; this module rebuilds the same generate → convert → analyze
-//! flow on the [`nsdf_workflow::graph`] engine at *tile* granularity,
-//! which is what the paper's GEOtiled workflow actually looks like on a
+//! [`crate::pipeline::run_tutorial`] runs the four steps as four coarse
+//! tasks; this module runs the same generate → convert → analyze flow on
+//! the same [`nsdf_workflow::graph`] engine at *tile* granularity, which
+//! is what the paper's GEOtiled workflow actually looks like on a
 //! cluster:
 //!
 //! - `gen/{tx}_{ty}` — synthesise one DEM tile (parallel task);
@@ -34,16 +34,20 @@ use nsdf_workflow::{GraphRun, RunOptions, TaskGraph, TaskOutput};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+// The virtual compute model, shared with `crate::pipeline`: both
+// pipelines charge these per-pixel costs, so virtual time never depends
+// on the host's wall clock.
+
 /// Virtual compute charged per DEM pixel synthesised.
-const GEN_NS_PER_PX: u64 = 2_000;
+pub(crate) const GEN_NS_PER_PX: u64 = 2_000;
 /// Virtual compute charged per padded pixel of a terrain tile.
-const TERRAIN_NS_PER_PX: u64 = 2_000;
+pub(crate) const TERRAIN_NS_PER_PX: u64 = 2_000;
 /// Virtual compute charged per pixel of KNN moisture downscaling.
 const MOISTURE_NS_PER_PX: u64 = 20_000;
 /// Virtual compute charged per pixel ingested into IDX.
-const INGEST_NS_PER_PX: u64 = 1_000;
+pub(crate) const INGEST_NS_PER_PX: u64 = 1_000;
 /// Virtual compute charged per pixel validated on read-back.
-const VALIDATE_NS_PER_PX: u64 = 500;
+pub(crate) const VALIDATE_NS_PER_PX: u64 = 500;
 /// Virtual compute charged for writing the dataset header.
 const INIT_NS: u64 = 1_000_000;
 

@@ -1,9 +1,9 @@
 //! # nsdf-core
 //!
 //! The top of the NSDF stack: a client session over named storage
-//! endpoints ([`client`]), the paper's four-step tutorial workflow as an
-//! instrumented pipeline ([`pipeline`]) and as a tile-level scheduled
-//! task DAG with incremental recompute ([`dag`]), and the
+//! endpoints ([`client`]), the paper's four-step tutorial workflow on one
+//! task-graph engine — as four coarse steps ([`pipeline`]) and as a
+//! tile-level DAG with incremental recompute ([`dag`]) — and the
 //! tutorial-delivery / survey simulation behind Table I and Fig. 8
 //! ([`tutorial`]).
 

@@ -1,23 +1,33 @@
 //! The four-step tutorial workflow (paper §IV, Figs. 3–4): data
 //! generation → conversion to IDX → static visualization/validation →
-//! interactive visualization & analysis — as one executable, instrumented
-//! pipeline over an [`NsdfClient`].
+//! interactive visualization & analysis — as a four-task [`TaskGraph`]
+//! named `nsdf-tutorial` over an [`NsdfClient`].
+//!
+//! The steps form a chain of exclusive tasks, so each runs on the caller
+//! thread inside its own span (`tutorial.1-data-generation`, ...). A step
+//! uploads its artifacts to the storage endpoint with one `put_many`
+//! inside that span and returns them as payloads; the graph runs without
+//! a store, so the engine hands the payloads to downstream steps in
+//! memory and issues no I/O of its own. Every artifact in the run report
+//! is therefore a real object at its location, and every WAN byte is
+//! attributed to a step.
 //!
 //! Timing model: storage operations charge the shared virtual clock
-//! through the WAN simulation automatically; compute stages charge their
-//! *measured wall time* to the same clock, so the provenance log reads as
-//! one coherent end-to-end timeline.
+//! through the WAN simulation; compute is charged per pixel with the same
+//! model as the tile-level DAG ([`crate::dag`]), so virtual time is a
+//! pure function of the seed.
 
 use crate::client::NsdfClient;
+use crate::dag::{GEN_NS_PER_PX, INGEST_NS_PER_PX, TERRAIN_NS_PER_PX, VALIDATE_NS_PER_PX};
 use nsdf_compress::Codec;
 use nsdf_dashboard::{Colormap, Dashboard, FrameInfo, RangeMode};
 use nsdf_geotiled::{compute_terrain_tiled_obs, DemConfig, Sun, TerrainParam, TilePlan};
 use nsdf_idx::{Field, IdxDataset, IdxMeta, QueryStats, WriteStats};
+use nsdf_storage::ObjectStore;
 use nsdf_tiff::{read_tiff, write_tiff, TiffCompression};
 use nsdf_util::{AccuracyReport, Box2i, DType, NsdfError, Raster, Result};
-use nsdf_workflow::{Artifact, Provenance, RunContext, Workflow};
-use std::sync::Arc;
-use std::time::Instant;
+use nsdf_workflow::{GraphRun, RunOptions, TaskCtx, TaskGraph, TaskOutput};
+use std::sync::{Arc, Mutex};
 
 /// Configuration of one tutorial run.
 #[derive(Debug, Clone)]
@@ -77,8 +87,9 @@ pub struct Interaction {
 /// Everything a tutorial run produces.
 #[derive(Debug)]
 pub struct TutorialReport {
-    /// Provenance log with per-step artifacts and timings.
-    pub provenance: Provenance,
+    /// Run report of the four steps: per-step artifacts, lineage and
+    /// virtual timings.
+    pub run: GraphRun,
     /// Total bytes of the four TIFFs (Step 1 output).
     pub tiff_bytes: u64,
     /// Total stored bytes of the IDX dataset (Step 2 output).
@@ -156,183 +167,220 @@ impl TutorialReport {
     }
 }
 
+/// The four steps, in order.
+const STEPS: [&str; 4] =
+    ["1-data-generation", "2-convert-to-idx", "3-static-visualization", "4-interactive-dashboard"];
+
+/// Object-key prefix of the IDX dataset Step 2 writes.
+const IDX_BASE: &str = "tutorial/idx";
+
+/// Typed results Steps 2–4 hand back to [`run_tutorial`]. The steps are
+/// exclusive tasks on the caller thread, so one shared slot suffices.
+#[derive(Default)]
+struct StepResults {
+    ingest: WriteStats,
+    readback: QueryStats,
+    accuracy: Vec<(TerrainParam, AccuracyReport)>,
+    interactions: Vec<Interaction>,
+}
+
+type Slot = Arc<Mutex<StepResults>>;
+
+fn fill(slot: &Slot, f: impl FnOnce(&mut StepResults)) {
+    f(&mut slot.lock().expect("tutorial result slot poisoned"));
+}
+
+/// Upload `(name, key, bytes)` artifacts with one `put_many` and return
+/// them as payloads for the steps downstream.
+fn publish(
+    store: &dyn ObjectStore,
+    artifacts: Vec<(String, String, Vec<u8>)>,
+) -> Result<Vec<TaskOutput>> {
+    let items: Vec<(&str, &[u8])> =
+        artifacts.iter().map(|(_, key, bytes)| (key.as_str(), bytes.as_slice())).collect();
+    for put in store.put_many(&items) {
+        put?;
+    }
+    Ok(artifacts
+        .into_iter()
+        .map(|(name, key, bytes)| TaskOutput::payload(name, key, bytes))
+        .collect())
+}
+
+fn tiff_name(param: TerrainParam) -> String {
+    format!("{}.tif", param.name())
+}
+
+/// Step 1's rasters, decoded from the TIFF artifacts a step consumes.
+fn input_rasters(ctx: &TaskCtx) -> Result<Vec<(TerrainParam, Raster<f32>)>> {
+    TerrainParam::all()
+        .into_iter()
+        .map(|p| Ok((p, read_tiff::<f32>(ctx.input_bytes(&tiff_name(p))?)?)))
+        .collect()
+}
+
 /// Run the four-step workflow. See module docs for the timing model.
 pub fn run_tutorial(client: &NsdfClient, cfg: &TutorialConfig) -> Result<TutorialReport> {
     if cfg.width == 0 || cfg.height == 0 {
         return Err(NsdfError::invalid("tutorial grid must be non-empty"));
     }
     let store = client.store(&cfg.storage_endpoint)?;
-    let clock = client.clock().clone();
     let obs = client.obs().scoped("tutorial");
-    let t_start = clock.now_secs();
-
-    let mut wf = Workflow::new("nsdf-tutorial");
-    let cfg1 = cfg.clone();
-    let store1 = store.clone();
-    let obs1 = obs.clone();
+    let slot = Slot::default();
+    let definition = format!("{cfg:?}");
+    let mut g = TaskGraph::new("nsdf-tutorial");
 
     // ---- Step 1: data generation (GEOtiled) -------------------------------
-    wf.add_step("1-data-generation", &[], &[], move |ctx| {
-        let _step_span = obs1.span("1-data-generation");
-        let wall = Instant::now();
-        let dem = DemConfig::conus_like(cfg1.width, cfg1.height, cfg1.seed).generate();
-        let plan = TilePlan::new(cfg1.tiles.0, cfg1.tiles.1, 1)?;
-        let mut artifacts = Vec::new();
-        let mut rasters = Vec::new();
-        for param in TerrainParam::all() {
-            let (raster, _) =
-                compute_terrain_tiled_obs(&dem, param, Sun::default(), &plan, cfg1.threads, &obs1)?;
-            rasters.push((param, raster));
+    g.add_exclusive_task(STEPS[0], &[], &definition, {
+        let (cfg, store, obs) = (cfg.clone(), Arc::clone(&store), obs.clone());
+        move |ctx| {
+            let _step_span = obs.span(STEPS[0]);
+            let dem = DemConfig::conus_like(cfg.width, cfg.height, cfg.seed).generate();
+            ctx.charge_compute_ns(dem.len() as u64 * GEN_NS_PER_PX);
+            let plan = TilePlan::new(cfg.tiles.0, cfg.tiles.1, 1)?;
+            let mut tiffs = Vec::new();
+            for param in TerrainParam::all() {
+                let (raster, tiled) = compute_terrain_tiled_obs(
+                    &dem,
+                    param,
+                    Sun::default(),
+                    &plan,
+                    cfg.threads,
+                    &obs,
+                )?;
+                ctx.charge_compute_ns(tiled.pixels_computed * TERRAIN_NS_PER_PX);
+                let key = format!("tutorial/tiff/{}.tif", param.name());
+                tiffs.push((tiff_name(param), key, write_tiff(&raster, TiffCompression::None)?));
+            }
+            publish(&*store, tiffs)
         }
-        ctx.clock().advance_secs(wall.elapsed().as_secs_f64());
-        // Write the TIFFs to storage (WAN time charged by the store).
-        for (param, raster) in &rasters {
-            let tiff = write_tiff(raster, TiffCompression::None)?;
-            let key = format!("tutorial/tiff/{}.tif", param.name());
-            store1.put(&key, &tiff)?;
-            artifacts.push(Artifact::of_bytes(format!("{}.tif", param.name()), &tiff, &key));
-        }
-        ctx.put("rasters", rasters);
-        Ok(artifacts)
     })?;
 
     // ---- Step 2: conversion to IDX ----------------------------------------
-    let cfg2 = cfg.clone();
-    let store2 = store.clone();
-    let obs2 = obs.clone();
-    wf.add_step(
-        "2-convert-to-idx",
-        &["1-data-generation"],
-        &["elevation.tif", "slope.tif", "aspect.tif", "hillshade.tif"],
+    g.add_exclusive_task(STEPS[1], &[STEPS[0]], &definition, {
+        let (cfg, store, obs, slot) = (cfg.clone(), Arc::clone(&store), obs.clone(), slot.clone());
         move |ctx| {
-            let _step_span = obs2.span("2-convert-to-idx");
-            // Read the TIFFs back from storage — the conversion consumes the
-            // stored artifacts, as in Fig. 3, not in-memory shortcuts.
-            let mut fields = Vec::new();
-            for param in TerrainParam::all() {
-                fields.push(Field::new(param.name(), DType::F32)?);
-            }
-            let rasters = ctx.get::<Vec<(TerrainParam, Raster<f32>)>>("rasters")?;
-            let geo = rasters[0].1.geo;
+            let _step_span = obs.span(STEPS[1]);
+            // The conversion decodes the TIFF artifacts Step 1 stored, as
+            // in Fig. 3, not Step 1's in-memory rasters.
+            let rasters = input_rasters(ctx)?;
+            let fields = rasters
+                .iter()
+                .map(|(p, _)| Field::new(p.name(), DType::F32))
+                .collect::<Result<Vec<_>>>()?;
             let mut meta = IdxMeta::new_2d(
                 "tutorial-terrain",
-                cfg2.width as u64,
-                cfg2.height as u64,
+                cfg.width as u64,
+                cfg.height as u64,
                 fields,
-                cfg2.bits_per_block,
-                cfg2.codec,
+                cfg.bits_per_block,
+                cfg.codec,
             )?;
-            if let Some(g) = geo {
+            if let Some(g) = rasters[0].1.geo {
                 meta = meta.with_geo(g);
             }
-            let ds = IdxDataset::create(store2.clone(), "tutorial/idx", meta)?
-                .with_obs(&obs2)
-                .with_write_concurrency(cfg2.write_concurrency);
-            let mut artifacts = Vec::new();
+            let ds = IdxDataset::create(Arc::clone(&store), IDX_BASE, meta)?
+                .with_obs(&obs)
+                .with_write_concurrency(cfg.write_concurrency);
             let mut ingest = WriteStats::default();
-            for param in TerrainParam::all() {
-                let key = format!("tutorial/tiff/{}.tif", param.name());
-                let tiff_bytes = store2.get(&key)?;
-                let wall = Instant::now();
-                let raster = read_tiff::<f32>(&tiff_bytes)?;
-                let stats = ds.write_raster(param.name(), 0, &raster)?;
-                ctx.clock().advance_secs(wall.elapsed().as_secs_f64());
-                artifacts.push(Artifact::of_size(
-                    format!("{}.idx-blocks", param.name()),
-                    stats.bytes_stored,
-                    format!("tutorial/idx/f{}", param.name()),
-                ));
-                ingest.merge(&stats);
+            for (param, raster) in &rasters {
+                ingest.merge(&ds.write_raster(param.name(), 0, raster)?);
+                ctx.charge_compute_ns(raster.len() as u64 * INGEST_NS_PER_PX);
             }
-            ctx.put("idx_bytes", ingest.bytes_stored);
-            ctx.put("ingest", ingest);
-            Ok(artifacts)
-        },
-    )?;
+            // Each field's artifact is the receipt of its stored blocks
+            // (`<base>/f<F>/...`): one `key size checksum` line per block,
+            // from one listing of the whole dataset.
+            let stored = store.list(&format!("{IDX_BASE}/f"))?;
+            let listings = rasters
+                .iter()
+                .enumerate()
+                .map(|(f, (param, _))| {
+                    let prefix = format!("{IDX_BASE}/f{f}/");
+                    let text: String = stored
+                        .iter()
+                        .filter(|m| m.key.starts_with(&prefix))
+                        .map(|m| format!("{} {} {:016x}\n", m.key, m.size, m.checksum))
+                        .collect();
+                    let name = format!("{}.idx-blocks", param.name());
+                    (name.clone(), format!("{IDX_BASE}/{name}"), text.into_bytes())
+                })
+                .collect();
+            fill(&slot, |r| r.ingest = ingest);
+            publish(&*store, listings)
+        }
+    })?;
 
     // ---- Step 3: static visualization & validation -------------------------
-    let store3 = store.clone();
-    let obs3 = obs.clone();
-    wf.add_step(
-        "3-static-visualization",
-        &["2-convert-to-idx"],
-        &["elevation.idx-blocks", "slope.idx-blocks", "aspect.idx-blocks", "hillshade.idx-blocks"],
+    // Depends on Step 1 too: validation compares against the original
+    // rasters, which lossless TIFF carries bit-exactly.
+    g.add_exclusive_task(STEPS[2], &[STEPS[0], STEPS[1]], &definition, {
+        let (store, obs, slot) = (Arc::clone(&store), obs.clone(), slot.clone());
         move |ctx| {
-            let _step_span = obs3.span("3-static-visualization");
-            let ds = IdxDataset::open(store3.clone(), "tutorial/idx")?.with_obs(&obs3);
-            let rasters = ctx.get::<Vec<(TerrainParam, Raster<f32>)>>("rasters")?;
+            let _step_span = obs.span(STEPS[2]);
+            let ds = IdxDataset::open(Arc::clone(&store), IDX_BASE)?.with_obs(&obs);
             let mut accuracy = Vec::new();
-            let mut artifacts = Vec::new();
             let mut readback = QueryStats::default();
-            for (param, original) in rasters {
+            let mut images = Vec::new();
+            for (param, original) in input_rasters(ctx)? {
                 let (from_idx, q) = ds.read_full::<f32>(param.name(), 0)?;
                 readback.merge(&q);
-                let wall = Instant::now();
-                let report = AccuracyReport::compare(original, &from_idx)?;
+                accuracy.push((param, AccuracyReport::compare(&original, &from_idx)?));
                 let img = nsdf_dashboard::render(&from_idx, Colormap::Terrain, RangeMode::Dynamic)?;
-                ctx.clock().advance_secs(wall.elapsed().as_secs_f64());
-                let ppm = img.to_ppm();
-                artifacts.push(Artifact::of_bytes(
+                ctx.charge_compute_ns(from_idx.len() as u64 * VALIDATE_NS_PER_PX);
+                images.push((
                     format!("{}.ppm", param.name()),
-                    &ppm,
                     format!("tutorial/static/{}.ppm", param.name()),
+                    img.to_ppm(),
                 ));
-                accuracy.push((*param, report));
             }
-            ctx.put("accuracy", accuracy);
-            ctx.put("readback", readback);
-            Ok(artifacts)
-        },
-    )?;
+            fill(&slot, |r| (r.accuracy, r.readback) = (accuracy, readback));
+            publish(&*store, images)
+        }
+    })?;
 
     // ---- Step 4: interactive visualization & analysis ----------------------
-    let store4 = store.clone();
-    let cfg4 = cfg.clone();
-    let clock4 = clock.clone();
-    let obs4 = obs.clone();
-    wf.add_step(
-        "4-interactive-dashboard",
-        &["3-static-visualization"],
-        &["elevation.idx-blocks"],
+    g.add_exclusive_task(STEPS[3], &[STEPS[1], STEPS[2]], &definition, {
+        let (cfg, store, obs, slot) = (cfg.clone(), Arc::clone(&store), obs.clone(), slot.clone());
         move |ctx| {
-            let _step_span = obs4.span("4-interactive-dashboard");
-            let ds = Arc::new(IdxDataset::open(store4.clone(), "tutorial/idx")?.with_obs(&obs4));
+            let _step_span = obs.span(STEPS[3]);
+            let ds = Arc::new(IdxDataset::open(Arc::clone(&store), IDX_BASE)?.with_obs(&obs));
             let mut dash = Dashboard::new();
-            dash.set_obs(&obs4);
-            dash.add_dataset("tutorial-terrain", ds.clone());
+            dash.set_obs(&obs);
+            dash.add_dataset("tutorial-terrain", ds);
             dash.select_dataset("tutorial-terrain")?;
-            dash.set_viewport_px(cfg4.viewport_px)?;
+            dash.set_viewport_px(cfg.viewport_px)?;
             dash.set_colormap(Colormap::Terrain);
 
+            let clock = ctx.clock().clone();
             let mut interactions = Vec::new();
             let mut record = |label: &str, frame: Option<FrameInfo>, t0: f64| {
                 interactions.push(Interaction {
                     label: label.to_string(),
-                    virtual_secs: clock4.now_secs() - t0,
+                    virtual_secs: clock.now_secs() - t0,
                     frame,
                 });
             };
 
-            let t = clock4.now_secs();
+            let t = clock.now_secs();
             let (_, info) = dash.render_frame()?;
             record("overview", Some(info), t);
 
-            let t = clock4.now_secs();
+            let t = clock.now_secs();
             dash.zoom(4.0)?;
             let (_, info) = dash.render_frame()?;
             record("zoom-4x", Some(info), t);
 
-            let t = clock4.now_secs();
-            dash.pan((cfg4.width / 8) as i64, 0)?;
+            let t = clock.now_secs();
+            dash.pan((cfg.width / 8) as i64, 0)?;
             let (_, info) = dash.render_frame()?;
             record("pan", Some(info), t);
 
-            let t = clock4.now_secs();
+            let t = clock.now_secs();
             dash.select_field("slope")?;
             let (_, info) = dash.render_frame()?;
             record("switch-field", Some(info), t);
 
-            let t = clock4.now_secs();
+            let t = clock.now_secs();
             let region = dash.region();
             let quarter = Box2i::new(
                 region.x0,
@@ -343,51 +391,43 @@ pub fn run_tutorial(client: &NsdfClient, cfg: &TutorialConfig) -> Result<Tutoria
             let snip = dash.snip(quarter)?;
             record("snip", None, t);
 
-            let artifacts = vec![
-                Artifact::of_bytes(
-                    "snippet.py",
-                    snip.python_script.as_bytes(),
-                    "tutorial/snippets/extract.py",
-                ),
-                Artifact::of_size(
-                    "snippet.npy",
-                    (snip.raster.len() * 4) as u64,
-                    "tutorial/snippets/region.npy",
-                ),
-            ];
-            ctx.put("interactions", interactions);
-            Ok(artifacts)
-        },
-    )?;
+            fill(&slot, |r| r.interactions = interactions);
+            publish(
+                &*store,
+                vec![
+                    (
+                        "snippet.py".into(),
+                        "tutorial/snippets/extract.py".into(),
+                        snip.python_script.into_bytes(),
+                    ),
+                    (
+                        "snippet.tif".into(),
+                        "tutorial/snippets/region.tif".into(),
+                        write_tiff(&snip.raster, TiffCompression::None)?,
+                    ),
+                ],
+            )
+        }
+    })?;
 
-    let mut ctx = RunContext::new(clock.clone());
-    let run_span = obs.span("run");
-    let provenance = wf.run(&mut ctx);
-    drop(run_span);
-    if !provenance.succeeded() {
-        let failed = provenance
-            .steps
-            .iter()
-            .find_map(|s| s.error.clone())
-            .unwrap_or_else(|| "unknown step failure".into());
+    let run = {
+        let _run_span = obs.span("run");
+        g.run(&RunOptions::new(client.clock().clone()))?
+    };
+    if !run.succeeded() {
+        let failed = run.first_error().unwrap_or("unknown step failure");
         return Err(NsdfError::invalid(format!("tutorial workflow failed: {failed}")));
     }
-
-    let tiff_bytes = provenance.steps[0].produced.iter().map(|a| a.bytes).sum();
-    let idx_bytes: u64 = ctx.take("idx_bytes")?;
-    let ingest: WriteStats = ctx.take("ingest")?;
-    let readback: QueryStats = ctx.take("readback")?;
-    let accuracy: Vec<(TerrainParam, AccuracyReport)> = ctx.take("accuracy")?;
-    let interactions: Vec<Interaction> = ctx.take("interactions")?;
+    let results = std::mem::take(&mut *slot.lock().expect("tutorial result slot poisoned"));
     Ok(TutorialReport {
-        provenance,
-        tiff_bytes,
-        idx_bytes,
-        ingest,
-        readback,
-        accuracy,
-        interactions,
-        total_virtual_secs: clock.now_secs() - t_start,
+        tiff_bytes: run.records[0].produced.iter().map(|a| a.bytes).sum(),
+        idx_bytes: results.ingest.bytes_stored,
+        ingest: results.ingest,
+        readback: results.readback,
+        accuracy: results.accuracy,
+        interactions: results.interactions,
+        total_virtual_secs: run.virtual_secs(),
+        run,
     })
 }
 
@@ -408,9 +448,10 @@ mod tests {
     #[test]
     fn four_steps_all_succeed() {
         let report = run_small("seal");
-        assert_eq!(report.provenance.steps.len(), 4);
-        assert!(report.provenance.succeeded());
-        let names: Vec<&str> = report.provenance.steps.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(report.run.name, "nsdf-tutorial");
+        assert_eq!(report.run.records.len(), 4);
+        assert!(report.run.succeeded());
+        let names: Vec<&str> = report.run.records.iter().map(|r| r.name.as_str()).collect();
         assert_eq!(
             names,
             vec![
@@ -420,6 +461,43 @@ mod tests {
                 "4-interactive-dashboard"
             ]
         );
+        // A chain: one step per wave, so the steps' virtual spans tile
+        // the run with no gap and no overlap.
+        for (wave, pair) in report.run.records.windows(2).enumerate() {
+            assert_eq!(pair[0].wave, wave as u64);
+            assert_eq!(pair[0].ended_ns, pair[1].started_ns);
+        }
+        assert_eq!(report.run.records[0].started_ns, report.run.started_ns);
+        assert_eq!(report.run.records[3].ended_ns, report.run.ended_ns);
+    }
+
+    #[test]
+    fn every_artifact_is_a_stored_object() {
+        let client = NsdfClient::simulated(7);
+        let mut cfg = TutorialConfig::small(7);
+        cfg.width = 128;
+        cfg.height = 64;
+        cfg.tiles = (2, 2);
+        let report = run_tutorial(&client, &cfg).unwrap();
+        let store = client.store(&cfg.storage_endpoint).unwrap();
+        let artifacts: Vec<_> = report.run.records.iter().flat_map(|r| &r.produced).collect();
+        assert_eq!(artifacts.len(), 4 + 4 + 4 + 2);
+        for a in artifacts {
+            let head = store.head(&a.location).unwrap();
+            assert_eq!((head.size, head.checksum), (a.bytes, a.checksum), "{}", a.name);
+        }
+        // Step 2's block listing accounts for every stored block byte.
+        let listed: u64 = TerrainParam::all()
+            .iter()
+            .map(|p| store.get(&format!("{IDX_BASE}/{}.idx-blocks", p.name())).unwrap())
+            .flat_map(|text| {
+                let text = String::from_utf8(text).unwrap();
+                text.lines()
+                    .map(|l| l.split(' ').nth(1).unwrap().parse::<u64>().unwrap())
+                    .collect::<Vec<_>>()
+            })
+            .sum();
+        assert_eq!(listed, report.idx_bytes);
     }
 
     #[test]
@@ -477,7 +555,7 @@ mod tests {
     #[test]
     fn provenance_lineage_links_steps() {
         let report = run_small("seal");
-        let p = &report.provenance;
+        let p = &report.run;
         assert_eq!(p.producer_of("elevation.tif").unwrap().name, "1-data-generation");
         let consumers = p.consumers_of("elevation.idx-blocks");
         assert_eq!(consumers.len(), 2); // steps 3 and 4

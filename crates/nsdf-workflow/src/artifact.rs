@@ -1,13 +1,14 @@
-//! Artifacts and provenance records.
+//! Artifact descriptors.
 //!
 //! The tutorial stresses modular workflows whose every step produces
 //! inspectable artifacts (Figs. 3–4), and the group's related work (ref
-//! \[16\]) argues for data traceability; the provenance log here records
-//! which step produced and consumed which artifact, with checksums, so a
-//! finished run can answer "where did this file come from".
+//! \[16\]) argues for data traceability. A task graph's run report lists
+//! which task produced and consumed which artifact, with checksums, so a
+//! finished run can answer "where did this file come from"
+//! ([`crate::GraphRun::producer_of`]).
 
 use crate::json::{parse_hex_u64, push_hex_u64, push_json_string, JsonValue};
-use nsdf_util::{fnv1a64, NsdfError, Result};
+use nsdf_util::{fnv1a64, Result};
 
 /// Descriptor of one produced artifact.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -31,11 +32,6 @@ impl Artifact {
             checksum: fnv1a64(data),
             location: location.into(),
         }
-    }
-
-    /// Describe an artifact by size alone (content not locally materialised).
-    pub fn of_size(name: impl Into<String>, bytes: u64, location: impl Into<String>) -> Artifact {
-        Artifact { name: name.into(), bytes, checksum: 0, location: location.into() }
     }
 
     /// Append this artifact as a sorted-key JSON object.
@@ -62,179 +58,6 @@ impl Artifact {
     }
 }
 
-/// Completion status of one step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StepStatus {
-    /// Step ran to completion.
-    Succeeded,
-    /// Step returned an error (recorded, run aborted).
-    Failed,
-    /// Step never ran because an upstream step failed.
-    Skipped,
-}
-
-impl StepStatus {
-    /// Stable wire name used in provenance JSON.
-    pub fn wire_name(self) -> &'static str {
-        match self {
-            StepStatus::Succeeded => "succeeded",
-            StepStatus::Failed => "failed",
-            StepStatus::Skipped => "skipped",
-        }
-    }
-
-    /// Parse a [`StepStatus::wire_name`] back.
-    pub fn from_wire(name: &str) -> Result<StepStatus> {
-        match name {
-            "succeeded" => Ok(StepStatus::Succeeded),
-            "failed" => Ok(StepStatus::Failed),
-            "skipped" => Ok(StepStatus::Skipped),
-            other => Err(NsdfError::corrupt(format!("unknown step status {other:?}"))),
-        }
-    }
-}
-
-/// Execution record of one step.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StepRecord {
-    /// Step name.
-    pub name: String,
-    /// Virtual start time (ns).
-    pub started_ns: u64,
-    /// Virtual end time (ns).
-    pub ended_ns: u64,
-    /// Final status.
-    pub status: StepStatus,
-    /// Artifacts produced.
-    pub produced: Vec<Artifact>,
-    /// Artifact names consumed (declared inputs resolved at run time).
-    pub consumed: Vec<String>,
-    /// Error message when failed.
-    pub error: Option<String>,
-}
-
-impl StepRecord {
-    /// Step duration in virtual seconds.
-    pub fn secs(&self) -> f64 {
-        (self.ended_ns.saturating_sub(self.started_ns)) as f64 / 1e9
-    }
-
-    fn push_json(&self, out: &mut String) {
-        out.push_str("{\"consumed\":[");
-        for (i, c) in self.consumed.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_json_string(c, out);
-        }
-        out.push_str("],\"ended_ns\":");
-        out.push_str(&self.ended_ns.to_string());
-        out.push_str(",\"error\":");
-        match &self.error {
-            Some(e) => push_json_string(e, out),
-            None => out.push_str("null"),
-        }
-        out.push_str(",\"name\":");
-        push_json_string(&self.name, out);
-        out.push_str(",\"produced\":[");
-        for (i, a) in self.produced.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            a.push_json(out);
-        }
-        out.push_str("],\"started_ns\":");
-        out.push_str(&self.started_ns.to_string());
-        out.push_str(",\"status\":");
-        push_json_string(self.status.wire_name(), out);
-        out.push('}');
-    }
-
-    fn from_json_value(v: &JsonValue) -> Result<StepRecord> {
-        let consumed = v
-            .field("consumed")?
-            .arr_of("step.consumed")?
-            .iter()
-            .map(|c| c.str_of("step.consumed[]").map(str::to_string))
-            .collect::<Result<Vec<_>>>()?;
-        let produced = v
-            .field("produced")?
-            .arr_of("step.produced")?
-            .iter()
-            .map(Artifact::from_json_value)
-            .collect::<Result<Vec<_>>>()?;
-        let error = match v.field("error")? {
-            JsonValue::Null => None,
-            other => Some(other.str_of("step.error")?.to_string()),
-        };
-        Ok(StepRecord {
-            name: v.field("name")?.str_of("step.name")?.to_string(),
-            started_ns: v.field("started_ns")?.u64_of("step.started_ns")?,
-            ended_ns: v.field("ended_ns")?.u64_of("step.ended_ns")?,
-            status: StepStatus::from_wire(v.field("status")?.str_of("step.status")?)?,
-            produced,
-            consumed,
-            error,
-        })
-    }
-}
-
-/// Full provenance of one workflow run.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Provenance {
-    /// Step records in execution order.
-    pub steps: Vec<StepRecord>,
-}
-
-impl Provenance {
-    /// The step that produced `artifact`, if any.
-    pub fn producer_of(&self, artifact: &str) -> Option<&StepRecord> {
-        self.steps.iter().find(|s| s.produced.iter().any(|a| a.name == artifact))
-    }
-
-    /// All steps that consumed `artifact`.
-    pub fn consumers_of(&self, artifact: &str) -> Vec<&StepRecord> {
-        self.steps.iter().filter(|s| s.consumed.iter().any(|c| c == artifact)).collect()
-    }
-
-    /// Total bytes across all produced artifacts.
-    pub fn total_artifact_bytes(&self) -> u64 {
-        self.steps.iter().flat_map(|s| &s.produced).map(|a| a.bytes).sum()
-    }
-
-    /// True when every executed step succeeded.
-    pub fn succeeded(&self) -> bool {
-        self.steps.iter().all(|s| s.status == StepStatus::Succeeded)
-    }
-
-    /// Byte-stable JSON rendering: sorted object keys, no whitespace,
-    /// 64-bit checksums as fixed-width hex strings. Two identical runs
-    /// serialize to identical bytes, so CI can `cmp` provenance logs.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"steps\":[");
-        for (i, s) in self.steps.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            s.push_json(&mut out);
-        }
-        out.push_str("]}");
-        out
-    }
-
-    /// Parse a [`Provenance::to_json`] rendering back.
-    pub fn from_json(text: &str) -> Result<Provenance> {
-        let v = JsonValue::parse(text)?;
-        let steps = v
-            .field("steps")?
-            .arr_of("provenance.steps")?
-            .iter()
-            .map(StepRecord::from_json_value)
-            .collect::<Result<Vec<_>>>()?;
-        Ok(Provenance { steps })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,97 +67,6 @@ mod tests {
         let a = Artifact::of_bytes("dem", b"payload", "store/dem.tif");
         assert_eq!(a.bytes, 7);
         assert_eq!(a.checksum, fnv1a64(b"payload"));
-        let b = Artifact::of_size("remote", 1 << 30, "seal://bucket/x");
-        assert_eq!(b.bytes, 1 << 30);
-        assert_eq!(b.checksum, 0);
-    }
-
-    #[test]
-    fn provenance_lineage_queries() {
-        let prov = Provenance {
-            steps: vec![
-                StepRecord {
-                    name: "generate".into(),
-                    started_ns: 0,
-                    ended_ns: 2_000_000_000,
-                    status: StepStatus::Succeeded,
-                    produced: vec![Artifact::of_size("dem.tif", 100, "l/dem.tif")],
-                    consumed: vec![],
-                    error: None,
-                },
-                StepRecord {
-                    name: "convert".into(),
-                    started_ns: 2_000_000_000,
-                    ended_ns: 3_500_000_000,
-                    status: StepStatus::Succeeded,
-                    produced: vec![Artifact::of_size("dem.idx", 80, "l/dem.idx")],
-                    consumed: vec!["dem.tif".into()],
-                    error: None,
-                },
-            ],
-        };
-        assert_eq!(prov.producer_of("dem.idx").unwrap().name, "convert");
-        assert!(prov.producer_of("nothing").is_none());
-        assert_eq!(prov.consumers_of("dem.tif").len(), 1);
-        assert_eq!(prov.total_artifact_bytes(), 180);
-        assert!(prov.succeeded());
-        assert!((prov.steps[1].secs() - 1.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn provenance_json_round_trip_is_byte_stable() {
-        let prov = Provenance {
-            steps: vec![
-                StepRecord {
-                    name: "generate \"dem\"".into(),
-                    started_ns: 0,
-                    ended_ns: 2_000_000_000,
-                    status: StepStatus::Succeeded,
-                    produced: vec![Artifact::of_bytes("dem.tif", b"bytes\n", "l/dem.tif")],
-                    consumed: vec![],
-                    error: None,
-                },
-                StepRecord {
-                    name: "convert".into(),
-                    started_ns: 2_000_000_000,
-                    ended_ns: 2_000_000_000,
-                    status: StepStatus::Failed,
-                    produced: vec![],
-                    consumed: vec!["dem.tif".into()],
-                    error: Some("disk\tfull".into()),
-                },
-                StepRecord {
-                    name: "analyze".into(),
-                    started_ns: 2_000_000_000,
-                    ended_ns: 2_000_000_000,
-                    status: StepStatus::Skipped,
-                    produced: vec![Artifact {
-                        name: "x".into(),
-                        bytes: 9,
-                        checksum: u64::MAX,
-                        location: "s/x".into(),
-                    }],
-                    consumed: vec!["dem.idx".into(), "model".into()],
-                    error: None,
-                },
-            ],
-        };
-        let json = prov.to_json();
-        let back = Provenance::from_json(&json).unwrap();
-        assert_eq!(back, prov);
-        // Re-serializing the parsed form reproduces the exact bytes, so
-        // provenance manifests can be compared with `cmp` in CI.
-        assert_eq!(back.to_json(), json);
-        // Checksums survive at full 64-bit precision.
-        assert_eq!(back.steps[2].produced[0].checksum, u64::MAX);
-    }
-
-    #[test]
-    fn provenance_from_json_rejects_malformed() {
-        assert!(Provenance::from_json("{}").is_err());
-        assert!(Provenance::from_json("{\"steps\":[{}]}").is_err());
-        assert!(Provenance::from_json("{\"steps\":[").is_err());
-        let bad_status = r#"{"steps":[{"consumed":[],"ended_ns":0,"error":null,"name":"a","produced":[],"started_ns":0,"status":"exploded"}]}"#;
-        assert!(Provenance::from_json(bad_status).is_err());
+        assert_eq!(a.location, "store/dem.tif");
     }
 }

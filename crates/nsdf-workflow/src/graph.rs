@@ -1,11 +1,10 @@
 //! Scheduled task-graph engine with hash-verified incremental recompute.
 //!
-//! This is the production successor of the linear [`crate::engine`]
-//! step list: tasks are typed nodes with explicit data dependencies
-//! (GEOtiled halo-exchange edges make a terrain tile depend on its DEM
-//! tile plus up to eight neighbors), and a ready-queue scheduler runs
-//! each wave of independent tasks on a work-stealing thread pool over
-//! the shared virtual clock.
+//! Tasks are typed nodes with explicit data dependencies (GEOtiled
+//! halo-exchange edges make a terrain tile depend on its DEM tile plus up
+//! to eight neighbors), and a ready-queue scheduler runs each wave of
+//! independent tasks on a work-stealing thread pool over the shared
+//! virtual clock.
 //!
 //! # Determinism contract
 //!
@@ -175,6 +174,10 @@ pub struct TaskRecord {
     pub status: TaskStatus,
     /// Scheduling wave the task was resolved in.
     pub wave: u64,
+    /// Virtual time its wave began (ns). Tasks of one wave share it.
+    pub started_ns: u64,
+    /// Virtual time the task resolved, its outputs persisted (ns).
+    pub ended_ns: u64,
     /// Virtual compute charged by the closure (0 for up-to-date/skipped).
     pub compute_ns: u64,
     /// Input fingerprint (0 when skipped before fingerprinting).
@@ -188,6 +191,13 @@ pub struct TaskRecord {
 }
 
 impl TaskRecord {
+    /// Virtual seconds from the start of the task's wave to its end. A
+    /// task alone in its wave (every step of a chain) owns exactly its
+    /// wave's share of the run.
+    pub fn virtual_secs(&self) -> f64 {
+        (self.ended_ns.saturating_sub(self.started_ns)) as f64 / 1e9
+    }
+
     fn push_json(&self, out: &mut String) {
         out.push_str("{\"compute_ns\":");
         out.push_str(&self.compute_ns.to_string());
@@ -198,7 +208,9 @@ impl TaskRecord {
             }
             push_json_string(c, out);
         }
-        out.push_str("],\"error\":");
+        out.push_str("],\"ended_ns\":");
+        out.push_str(&self.ended_ns.to_string());
+        out.push_str(",\"error\":");
         match &self.error {
             Some(e) => push_json_string(e, out),
             None => out.push_str("null"),
@@ -214,7 +226,9 @@ impl TaskRecord {
             }
             a.push_json(out);
         }
-        out.push_str("],\"status\":");
+        out.push_str("],\"started_ns\":");
+        out.push_str(&self.started_ns.to_string());
+        out.push_str(",\"status\":");
         push_json_string(self.status.wire_name(), out);
         out.push_str(",\"wave\":");
         out.push_str(&self.wave.to_string());
@@ -258,6 +272,16 @@ impl GraphRun {
     /// The produced artifact named `name`, searched across all records.
     pub fn artifact(&self, name: &str) -> Option<&Artifact> {
         self.records.iter().flat_map(|r| &r.produced).find(|a| a.name == name)
+    }
+
+    /// The record of the task that produced the artifact named `name`.
+    pub fn producer_of(&self, name: &str) -> Option<&TaskRecord> {
+        self.records.iter().find(|r| r.produced.iter().any(|a| a.name == name))
+    }
+
+    /// The records of every task that consumed the artifact named `name`.
+    pub fn consumers_of(&self, name: &str) -> Vec<&TaskRecord> {
+        self.records.iter().filter(|r| r.consumed.iter().any(|c| c == name)).collect()
     }
 
     /// Names of tasks that actually executed this run.
@@ -639,6 +663,7 @@ impl TaskGraph {
         let mut wave = 0u64;
 
         while resolved < n {
+            let this_wave = (wave, clock.now_ns());
             // Propagate skips: deps have smaller ids, so one forward scan
             // closes the cone discovered this wave.
             for i in 0..n {
@@ -652,7 +677,7 @@ impl TaskGraph {
                     )
                 });
                 if blocked {
-                    records[i] = Some(self.record(i, TaskStatus::Skipped, wave, 0, &records));
+                    records[i] = Some(self.record(i, TaskStatus::Skipped, this_wave, 0, &records));
                     resolved += 1;
                 }
             }
@@ -681,8 +706,9 @@ impl TaskGraph {
             for ((i, fp), entry) in fps.into_iter().zip(verified) {
                 match entry {
                     Some(e) => {
-                        let mut rec = self.record(i, TaskStatus::UpToDate, wave, fp, &records);
+                        let mut rec = self.record(i, TaskStatus::UpToDate, this_wave, fp, &records);
                         rec.produced = e.outputs.clone();
+                        rec.ended_ns = clock.now_ns();
                         records[i] = Some(rec);
                         resolved += 1;
                     }
@@ -698,8 +724,9 @@ impl TaskGraph {
                 match self.inputs(i, &records, &blackboard, &missing) {
                     Ok(inputs) => runnable.push((i, fp, inputs)),
                     Err(e) => {
-                        let mut rec = self.record(i, TaskStatus::Failed, wave, fp, &records);
+                        let mut rec = self.record(i, TaskStatus::Failed, this_wave, fp, &records);
                         rec.error = Some(format!("input prefetch: {e}"));
+                        rec.ended_ns = clock.now_ns();
                         records[i] = Some(rec);
                         resolved += 1;
                     }
@@ -726,7 +753,7 @@ impl TaskGraph {
                     })?;
                 let wave_compute = outcomes.iter().map(|o| o.compute_ns).max().unwrap_or(0);
                 clock.advance_ns(wave_compute);
-                for (i, rec) in self.persist(outcomes, wave, &records, &mut blackboard, opts) {
+                for (i, rec) in self.persist(outcomes, this_wave, &records, &mut blackboard, opts) {
                     records[i] = Some(rec);
                     resolved += 1;
                 }
@@ -738,7 +765,9 @@ impl TaskGraph {
                 let result = (self.tasks[i].run)(&mut ctx);
                 clock.advance_ns(ctx.compute_ns);
                 let outcome = Outcome { task: i, fp, result, compute_ns: ctx.compute_ns };
-                for (i, rec) in self.persist(vec![outcome], wave, &records, &mut blackboard, opts) {
+                for (i, rec) in
+                    self.persist(vec![outcome], this_wave, &records, &mut blackboard, opts)
+                {
                     records[i] = Some(rec);
                     resolved += 1;
                 }
@@ -772,12 +801,13 @@ impl TaskGraph {
         })
     }
 
-    /// A record of task `i` with nothing produced and no error.
+    /// A record of task `i` with nothing produced and no error, resolved
+    /// the moment its wave `(index, start ns)` began.
     fn record(
         &self,
         i: usize,
         status: TaskStatus,
-        wave: u64,
+        (wave, started_ns): (u64, u64),
         fingerprint: u64,
         records: &[Option<TaskRecord>],
     ) -> TaskRecord {
@@ -785,6 +815,8 @@ impl TaskGraph {
             name: self.tasks[i].name.clone(),
             status,
             wave,
+            started_ns,
+            ended_ns: started_ns,
             compute_ns: 0,
             fingerprint,
             produced: Vec::new(),
@@ -917,7 +949,7 @@ impl TaskGraph {
     fn persist(
         &self,
         outcomes: Vec<Outcome>,
-        wave: u64,
+        wave: (u64, u64),
         records: &[Option<TaskRecord>],
         blackboard: &mut BTreeMap<String, Arc<Vec<u8>>>,
         opts: &RunOptions,
@@ -956,6 +988,10 @@ impl TaskGraph {
                     rec.error = Some(format!("persist {name:?}: {e}"));
                 }
             }
+        }
+        let ended_ns = opts.clock.now_ns();
+        for (_, rec) in &mut out {
+            rec.ended_ns = ended_ns;
         }
         for (slot, name, _, bytes) in payloads {
             let rec = &mut out[slot].1;
@@ -1030,6 +1066,23 @@ mod tests {
         assert_eq!(run.record("join").unwrap().wave, 2);
         // 10 (gen) + max(20, 30) + 5 = 45 ms of virtual compute.
         assert_eq!(clock.now_ns(), 45 * MS);
+        // Each record spans its wave's start to its own end; a wave's
+        // tasks share the start, and the waves tile the run.
+        let span = |name: &str| {
+            let r = run.record(name).unwrap();
+            (r.started_ns / MS, r.ended_ns / MS)
+        };
+        assert_eq!(span("gen"), (0, 10));
+        assert_eq!(span("a"), (10, 40));
+        assert_eq!(span("b"), (10, 40));
+        assert_eq!(span("join"), (40, 45));
+        assert_eq!(run.record("join").unwrap().virtual_secs(), 0.005);
+        // Lineage: who produced and who consumed each artifact.
+        assert_eq!(run.producer_of("dem").unwrap().name, "gen");
+        assert!(run.producer_of("nothing").is_none());
+        let consumers: Vec<&str> =
+            run.consumers_of("dem").iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(consumers, vec!["a", "b"]);
 
         // Sequential baseline: 10 + 20 + 30 + 5 = 65 ms — strictly more.
         let seq_clock = SimClock::new();

@@ -1,6 +1,6 @@
-//! Minimal JSON reading and writing for byte-stable provenance artifacts.
+//! Minimal JSON reading and writing for byte-stable workflow artifacts.
 //!
-//! Provenance logs and recompute manifests are compared with `cmp` in CI,
+//! Run reports and recompute manifests are compared with `cmp` in CI,
 //! so the writers here emit fully deterministic bytes: object keys in
 //! sorted order, no whitespace, and `u64` checksums as fixed-width hex
 //! strings (JSON numbers cannot carry the full 64-bit range exactly).

@@ -3,8 +3,13 @@
 //! Usage: `cargo run --release --example reproduce -- [target]`
 //! where `target` is one of `table1`, `fig3`, `fig4`, `fig5`, `fig6`,
 //! `fig7`, `fig8`, `hz`, `compress`, `fuse`, `catalog`, `plugin`, `cloud`,
-//! or
-//! `all` (default). Output is deterministic for a fixed seed.
+//! or `all` (default).
+//!
+//! Three sections print wall-clock measurements of this host, which vary
+//! from run to run: `fig5`'s `seq_ms`/`par_ms`/`speedup` columns,
+//! `compress`'s `enc_MB/s`/`dec_MB/s` columns, and `catalog`'s ingest
+//! rate and query time. Everything else — virtual seconds included — is
+//! deterministic for the fixed seed.
 
 use nsdf::catalog::{Catalog, Record};
 use nsdf::compress::CompressionStats;
@@ -102,9 +107,15 @@ fn fig4() -> Result<()> {
     let client = NsdfClient::simulated(SEED);
     let report = run_tutorial(&client, &TutorialConfig::small(SEED))?;
     println!("{:<28} {:>10} {:>10} {:>14}", "step", "secs", "artifacts", "bytes");
-    for s in &report.provenance.steps {
-        let bytes: u64 = s.produced.iter().map(|a| a.bytes).sum();
-        println!("{:<28} {:>10.3} {:>10} {:>14}", s.name, s.secs(), s.produced.len(), bytes);
+    for r in &report.run.records {
+        let bytes: u64 = r.produced.iter().map(|a| a.bytes).sum();
+        println!(
+            "{:<28} {:>10.3} {:>10} {:>14}",
+            r.name,
+            r.virtual_secs(),
+            r.produced.len(),
+            bytes
+        );
     }
     println!("validation exact: {}", report.validation_exact());
     for i in &report.interactions {

@@ -2,13 +2,13 @@
 //! endpoint, codec, and scale — the cross-crate path from DEM synthesis
 //! through TIFF, IDX, validation, and the dashboard.
 //!
-//! Two generations are covered: the legacy linear `run_tutorial` script
-//! (kept as the smoke path) and the production tile-level task DAG
-//! (`run_terrain_dag`), for which these tests pin down the headline
-//! claims — endpoint-independent digests, hash-verified incremental
-//! recompute that is bitwise equal to a from-scratch run, chaos
-//! transparency, and a parallel schedule strictly faster than the
-//! sequential baseline on both WAN profiles.
+//! Both pipelines run on the one task-graph engine. `run_tutorial` is the
+//! four coarse steps (the smoke path: every endpoint and lossless codec,
+//! seed-deterministic virtual time, artifact lineage). The tile-level DAG
+//! (`run_terrain_dag`) carries the headline claims — endpoint-independent
+//! digests, hash-verified incremental recompute that is bitwise equal to
+//! a from-scratch run, chaos transparency, and a parallel schedule
+//! strictly faster than the sequential baseline on both WAN profiles.
 
 use nsdf::core::{run_terrain_dag, DagConfig, EndpointPolicy};
 use nsdf::geotiled::DemEdit;
@@ -31,7 +31,7 @@ fn tutorial_runs_on_every_endpoint() {
         let mut cfg = config(11);
         cfg.storage_endpoint = endpoint.into();
         let report = run_tutorial(&client, &cfg).unwrap();
-        assert!(report.provenance.succeeded(), "{endpoint}");
+        assert!(report.run.succeeded(), "{endpoint}");
         assert!(report.validation_exact(), "{endpoint}");
         assert_eq!(report.interactions.len(), 5, "{endpoint}");
     }
@@ -71,14 +71,19 @@ fn deterministic_across_runs() {
     let run = || {
         let client = NsdfClient::simulated(14);
         let report = run_tutorial(&client, &config(14)).unwrap();
-        (report.tiff_bytes, report.idx_bytes, report.total_virtual_secs.to_bits())
+        (
+            report.tiff_bytes,
+            report.idx_bytes,
+            report.total_virtual_secs.to_bits(),
+            report.run.to_json(),
+        )
     };
-    // Wall-clock compute time feeds the virtual clock, so total time is not
-    // bit-stable, but all data-dependent quantities must be.
-    let (t1, i1, _) = run();
-    let (t2, i2, _) = run();
+    let (t1, i1, v1, j1) = run();
+    let (t2, i2, v2, j2) = run();
     assert_eq!(t1, t2);
     assert_eq!(i1, i2);
+    assert_eq!(v1, v2, "virtual time is a pure function of the seed");
+    assert_eq!(j1, j2, "run reports are byte-identical");
 }
 
 /// One DEM-cell edit strictly inside tile (1,1)'s interior (x 32..64,
@@ -196,7 +201,7 @@ fn parallel_dag_beats_sequential_baseline_on_both_wan_profiles() {
 fn provenance_covers_all_artifacts() {
     let client = NsdfClient::simulated(15);
     let report = run_tutorial(&client, &config(15)).unwrap();
-    let p = &report.provenance;
+    let p = &report.run;
     for name in ["elevation.tif", "slope.tif", "aspect.tif", "hillshade.tif"] {
         assert_eq!(p.producer_of(name).unwrap().name, "1-data-generation");
     }
@@ -204,5 +209,5 @@ fn provenance_covers_all_artifacts() {
         assert_eq!(p.producer_of(name).unwrap().name, "2-convert-to-idx");
     }
     assert!(p.producer_of("snippet.py").is_some());
-    assert!(p.total_artifact_bytes() > 0);
+    assert!(p.records.iter().flat_map(|r| &r.produced).map(|a| a.bytes).sum::<u64>() > 0);
 }
